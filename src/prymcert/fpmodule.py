@@ -9,10 +9,17 @@ permutation matrices in the chosen basis.
 
 All linear algebra is exact Gaussian elimination over residues mod p.  The
 arrays are int64 (entries < p, intermediate products < p^2), so numpy is
-used purely as a fast exact integer container, never in floating point.
-The commutant is computed as the null space of the stacked commutation
-constraints; the orbit-counting rule for transitive permutation modules is
-computed independently as a cross-check, never assumed.
+used purely as a fast exact integer container, never in floating point;
+moduli with (p-1)^2 >= 2^63 are rejected.
+
+The commutant dimension is counted from the action matrices themselves.
+When every generator acts monomially (e_j -> a_j e_sigma(j), as on the
+delta and odd bases), the commutant has a basis indexed by the consistent
+orbits of signed index pairs, counted by a weighted union-find in
+O(#gens . dim^2).  Otherwise it is the exact null space of the stacked
+commutation constraints, which also serves the tests as the reference.  The
+orbit-counting rule for transitive permutation modules is computed
+independently as a cross-check, never assumed.
 """
 
 from __future__ import annotations
@@ -48,12 +55,22 @@ __all__ = [
 ]
 
 
+_INT64_BOUND = 2**63
+
+
+def _check_int64_modulus(p: int) -> None:
+    """Reject moduli whose residue products would wrap in int64."""
+    if (p - 1) ** 2 >= _INT64_BOUND:
+        raise ValueError(f"modulus {p} too large: int64 arithmetic needs (p-1)^2 < 2^63")
+
+
 class FpMatrix:
     """A square matrix over F_p; a thin exact wrapper around an int64 array."""
 
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, a):
+        _check_int64_modulus(p)
         self.p = p
         self.a = np.asarray(a, dtype=np.int64) % p
 
@@ -68,7 +85,11 @@ class FpMatrix:
     def __matmul__(self, other: FpMatrix) -> FpMatrix:
         if self.p != other.p:
             raise ValueError("mismatched moduli")
-        return FpMatrix(self.p, (self.a @ other.a) % self.p)
+        p = self.p
+        if self.n * (p - 1) ** 2 < _INT64_BOUND:
+            return FpMatrix(p, (self.a @ other.a) % p)
+        # the row-column sums would wrap in int64: sum exact Python ints
+        return FpMatrix(p, (self.a.astype(object) @ other.a.astype(object)) % p)
 
     def __eq__(self, other) -> bool:
         return (
@@ -145,6 +166,7 @@ class FpSpace:
     """
 
     def __init__(self, p: int, roots: LabeledRoots, basis: np.ndarray, name: str):
+        _check_int64_modulus(p)
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
@@ -266,25 +288,92 @@ def d2_matrix(space: FpSpace) -> FpMatrix:
     return FpMatrix(space.p, X)
 
 
+def _monomial_form(A: np.ndarray) -> tuple[list[int], list[int]] | None:
+    """(sigma, a) with A e_j = a_j e_sigma(j), or None if A is not monomial."""
+    d = A.shape[1]
+    rows, cols = np.nonzero(A)  # in row-major order
+    rows, cols, vals = rows.tolist(), cols.tolist(), A[rows, cols].tolist()
+    if rows != list(range(d)) or sorted(cols) != rows:
+        return None
+    sigma, a = [0] * d, [0] * d
+    for i, j, v in zip(rows, cols, vals):
+        sigma[j], a[j] = i, v
+    return sigma, a
+
+
+def _orbit_commutant_dim(forms: list[tuple[list[int], list[int]]], d: int, p: int) -> int:
+    """Commutant dimension of monomial actions by signed orbit counting.
+
+    X commutes with e_j -> a_j e_sigma(j) iff X[sigma i, sigma j] =
+    a_i a_j^(-1) X[i, j] for all i, j.  Each such condition is an edge of a
+    graph on the d^2 entries carrying a factor in F_p^*; along a spanning
+    tree one entry determines its whole component, and a cycle whose factors
+    multiply to anything but 1 forces the component to zero.  So the
+    dimension is the number of components without such a cycle, found by a
+    union-find that keeps X[u] = weight[u] * X[parent[u]].
+    """
+    n = d * d
+    parent = list(range(n))
+    weight = [1] * n
+    forced_zero = [False] * n
+
+    def find(u: int) -> tuple[int, int]:
+        """(root, w) with X[u] = w * X[root]; compresses the path."""
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        w = 1
+        for v in reversed(path):
+            w = w * weight[v] % p
+            weight[v] = w
+            parent[v] = u
+        return u, w
+
+    for sigma, a in forms:
+        a_inv = [pow(x, -1, p) for x in a]
+        for i in range(d):
+            row, si = i * d, sigma[i] * d
+            for j in range(d):
+                # X[v] = f * X[u] for the entries u = (i, j), v = (sigma i, sigma j)
+                f = a[i] * a_inv[j] % p
+                ru, wu = find(row + j)
+                rv, wv = find(si + sigma[j])
+                if ru == rv:
+                    if wv != f * wu % p:
+                        forced_zero[ru] = True
+                else:
+                    parent[rv] = ru
+                    weight[rv] = f * wu * pow(wv, -1, p) % p
+                    forced_zero[ru] = forced_zero[ru] or forced_zero[rv]
+    return sum(1 for u in range(n) if parent[u] == u and not forced_zero[u])
+
+
+def _dense_commutant_dim(mats: list[np.ndarray], d: int, p: int) -> int:
+    """Commutant dimension as the exact null space of the stacked constraints
+    (A (x) I - I (x) A^T) vec(X) = 0; O(d^6), any action matrices."""
+    eye = np.eye(d, dtype=np.int64)
+    M = np.concatenate([(np.kron(A, eye) - np.kron(eye, A.T)) % p for A in mats], axis=0)
+    return d * d - _rank(M, p)
+
+
 def commutant_dim(generators, space: FpSpace) -> int:
     """Dimension over F_p of {X : X A_g = A_g X for all generators g}.
 
-    Computed as the exact null space of the stacked commutation constraints
-    (A_g (x) I - I (x) A_g^T) vec(X) = 0; with no generators this is the full
-    matrix algebra of dimension dim^2.
+    When every action matrix A_g is monomial (true of every signed
+    permutation on the delta and odd bases) the dimension is the number of
+    consistent orbits of signed index pairs, in O(#gens . dim^2).  Otherwise
+    (e.g. on the even sum-zero space) it is the dense null space of the kron
+    system, in O(dim^6).  With no generators this is the full matrix algebra
+    of dimension dim^2.
     """
     d = space.dim
-    gens = list(generators)
-    if not gens:
-        return d * d
     p = space.p
-    eye = np.eye(d, dtype=np.int64)
-    blocks = []
-    for g in gens:
-        A = action_matrix(g, space).a
-        blocks.append((np.kron(A, eye) - np.kron(eye, A.T)) % p)
-    M = np.concatenate(blocks, axis=0)
-    return d * d - _rank(M, p)
+    mats = [action_matrix(g, space).a for g in generators]
+    forms = [_monomial_form(A) for A in mats]
+    if all(f is not None for f in forms):
+        return _orbit_commutant_dim(forms, d, p)
+    return _dense_commutant_dim(mats, d, p)
 
 
 def orbit_count_formula(generators, m: int, label: int = 1) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from prymcert.fpmodule import (
     FpMatrix,
+    FpSpace,
     action_matrix,
     commutant_dim,
     constant_space,
@@ -21,7 +22,7 @@ from prymcert.fpmodule import (
     vf_plus_space,
     vf_space,
 )
-from prymcert.fpmodule import _rank
+from prymcert.fpmodule import _dense_commutant_dim, _monomial_form, _rank
 from prymcert.signedperm import GroupDescriptor, SignedPerm, orbits, roots_h
 
 
@@ -61,6 +62,29 @@ def test_action_matrix_dimension_mismatch():
         action_matrix(SignedPerm.identity(4), odd_space(3, 5))
 
 
+def test_moduli_that_would_wrap_int64_are_rejected():
+    big = 4294967311  # prime, (p-1)^2 > 2^63
+    top = 3037000507  # least prime with (p-1)^2 >= 2^63
+    for p in (big, top):
+        with pytest.raises(ValueError, match=r"\(p-1\)\^2 < 2\^63"):
+            FpMatrix(p, [[p - 1]])
+        with pytest.raises(ValueError, match=r"\(p-1\)\^2 < 2\^63"):
+            FpSpace(p, roots_h(3), np.eye(6, dtype=np.int64), "F_p^R_h")
+        with pytest.raises(ValueError, match=r"\(p-1\)\^2 < 2\^63"):
+            odd_space(3, p)
+
+
+def test_largest_int64_safe_modulus_is_exact():
+    p = 3037000493  # greatest prime with (p-1)^2 < 2^63
+    A = FpMatrix(p, [[p - 1]])
+    assert (A @ A).to_lists() == [[1]]
+    # two summed products exceed 2^63, so the product must not wrap
+    B = FpMatrix(p, [[p - 1, p - 1], [p - 1, p - 1]])
+    assert (B @ B).to_lists() == [[2, 2], [2, 2]]
+    flip = action_matrix(SignedPerm.sign_flip(3, 1), odd_space(3, p))
+    assert flip.to_lists() == [[p - 1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 # ---------------------------------------------------------------------------
 # commutants
 # ---------------------------------------------------------------------------
@@ -92,6 +116,50 @@ def test_commutant_invariant_under_conjugation():
         t = SignedPerm.random(4, rng)
         conj = [t * g * t.inverse() for g in gens]
         assert commutant_dim(gens, space) == commutant_dim(conj, space)
+
+
+def _dense_reference(gens, space):
+    mats = [action_matrix(g, space).a for g in gens]
+    return _dense_commutant_dim(mats, space.dim, space.p) if mats else space.dim**2
+
+
+def test_signed_orbit_count_matches_dense_null_space():
+    rng = random.Random(53)
+    for _ in range(200):
+        m = rng.randint(2, 7)
+        p = rng.choice((2, 3, 5, 7))
+        gens = [SignedPerm.random(m, rng) for _ in range(rng.randint(0, 3))]
+        for space in (odd_space(m, p), function_space_on_roots(m, p)):
+            assert commutant_dim(gens, space) == _dense_reference(gens, space), (m, p, gens)
+
+
+def test_sign_group_commutant_closed_form():
+    # odd p: the sign flips force X diagonal; p = 2: they act trivially
+    for m in range(2, 8):
+        gens = GroupDescriptor.sign_group(m).generators()
+        for p in (2, 3, 5, 7):
+            expected = m * m if p == 2 else m
+            assert commutant_dim(gens, odd_space(m, p)) == expected, (m, p)
+            assert _dense_reference(gens, odd_space(m, p)) == expected, (m, p)
+
+
+def test_monomial_form_reads_permutation_and_scalars():
+    # A e_0 = e_1, A e_1 = 3 e_2, A e_2 = 2 e_0
+    A = np.array([[0, 0, 2], [1, 0, 0], [0, 3, 0]], dtype=np.int64)
+    assert _monomial_form(A) == ([1, 2, 0], [1, 3, 2])
+    for B in ([[1, 1], [0, 0]], [[1, 0], [1, 0]], [[1, 1], [1, 0]]):
+        assert _monomial_form(np.array(B, dtype=np.int64)) is None, B
+    # the even sum-zero basis is the one that takes the dense route
+    t = SignedPerm.transposition(4, 1, 2)
+    assert _monomial_form(action_matrix(t, even_zero_space(4, 5)).a) is None
+    assert _monomial_form(action_matrix(t, odd_space(4, 5)).a) is not None
+
+
+def test_commutant_at_large_m():
+    for m, p in ((29, 3), (59, 3), (61, 31)):
+        assert commutant_dim(GroupDescriptor.wdm(m).generators(), odd_space(m, p)) == 1, (m, p)
+    gens = GroupDescriptor.wdm(29).generators()
+    assert commutant_dim(gens, function_space_on_roots(29, 3)) == orbit_count_formula(gens, 29) == 3
 
 
 def test_orbit_count_formula():
