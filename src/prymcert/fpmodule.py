@@ -55,12 +55,9 @@ __all__ = [
 ]
 
 
-_INT64_BOUND = 2**63
-
-
 def _check_int64_modulus(p: int) -> None:
     """Reject moduli whose residue products would wrap in int64."""
-    if (p - 1) ** 2 >= _INT64_BOUND:
+    if (p - 1) ** 2 >= 2**63:
         raise ValueError(f"modulus {p} too large: int64 arithmetic needs (p-1)^2 < 2^63")
 
 
@@ -85,11 +82,7 @@ class FpMatrix:
     def __matmul__(self, other: FpMatrix) -> FpMatrix:
         if self.p != other.p:
             raise ValueError("mismatched moduli")
-        p = self.p
-        if self.n * (p - 1) ** 2 < _INT64_BOUND:
-            return FpMatrix(p, (self.a @ other.a) % p)
-        # the row-column sums would wrap in int64: sum exact Python ints
-        return FpMatrix(p, (self.a.astype(object) @ other.a.astype(object)) % p)
+        return FpMatrix(self.p, (self.a.astype(object) @ other.a.astype(object)) % self.p)
 
     def __eq__(self, other) -> bool:
         return (

@@ -94,13 +94,14 @@ def test_commutant_dims_for_wdm():
     w5 = GroupDescriptor.wdm(5).generators()
     assert commutant_dim(w5, function_space_on_roots(5, 3)) == 3
     assert commutant_dim(w5, odd_space(5, 3)) == 1
-    for m in (3, 5):
+    small = [(m, p) for m in (3, 5) for p in (3, 5, 7)]
+    for m, p in small + [(29, 3), (59, 3), (61, 31)]:
         gens = GroupDescriptor.wdm(m).generators()
-        for p in (3, 5, 7):
-            assert commutant_dim(gens, function_space_on_roots(m, p)) == 3, (m, p)
-            assert commutant_dim(gens, odd_space(m, p)) == 1, (m, p)
-            if (2 * m) % p != 0:
-                assert commutant_dim(gens, even_zero_space(m, p)) == 1, (m, p)
+        full = commutant_dim(gens, function_space_on_roots(m, p))
+        assert full == orbit_count_formula(gens, m) == 3, (m, p)
+        assert commutant_dim(gens, odd_space(m, p)) == 1, (m, p)
+        if (m, p) in small and (2 * m) % p != 0:
+            assert commutant_dim(gens, even_zero_space(m, p)) == 1, (m, p)
 
 
 def test_commutant_empty_generators_is_full_matrix_algebra():
@@ -153,13 +154,6 @@ def test_monomial_form_reads_permutation_and_scalars():
     t = SignedPerm.transposition(4, 1, 2)
     assert _monomial_form(action_matrix(t, even_zero_space(4, 5)).a) is None
     assert _monomial_form(action_matrix(t, odd_space(4, 5)).a) is not None
-
-
-def test_commutant_at_large_m():
-    for m, p in ((29, 3), (59, 3), (61, 31)):
-        assert commutant_dim(GroupDescriptor.wdm(m).generators(), odd_space(m, p)) == 1, (m, p)
-    gens = GroupDescriptor.wdm(29).generators()
-    assert commutant_dim(gens, function_space_on_roots(29, 3)) == orbit_count_formula(gens, 29) == 3
 
 
 def test_orbit_count_formula():
