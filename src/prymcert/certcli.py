@@ -168,8 +168,8 @@ def _render_certificate(doc: dict) -> str:
 
 
 def cmd_scan(args) -> int:
-    if args.p_max < 2 or args.r_max < 2:
-        raise UsageError("scan bounds must be >= 2")
+    if args.p_max < 3 or args.r_max < 2:
+        raise UsageError("scan needs --p-max >= 3 (the smallest odd prime) and --r-max >= 2")
     rows = []
     for p in primes(3):
         if p > args.p_max:

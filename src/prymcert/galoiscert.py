@@ -47,6 +47,7 @@ from .intpoly import (
     irreducible_composite_rule,
     irreducible_over_Q,
     is_square,
+    poly_gcd,
     reduce_and_factor_degrees,
     trinomial,
 )
@@ -237,13 +238,21 @@ def chebotarev_verdict(
     chi-square statistic.  The first impossible type refutes immediately.
     With pool > samples, the sampled primes are a seed-shuffled subset of the
     first `pool` unramified primes; otherwise the seed plays no role and the
-    first `samples` unramified primes are used in increasing order.
+    first `samples` unramified primes are used in increasing order.  A
+    polynomial with a repeated factor has no unramified prime and is
+    rejected with a ValueError.
     """
     if samples < 10:
         raise ValueError("at least 10 unramified primes are required")
     if h.degree != 2 * target.m:
         raise ValueError(
             f"degree {h.degree} polynomial cannot match a group on {2 * target.m} points"
+        )
+    if discriminant(h) == 0:
+        raise ValueError(
+            f"{format_poly(h)} is not squarefree: it shares the factor "
+            f"{format_poly(poly_gcd(h, h.derivative()))} with its derivative, "
+            "so every prime is ramified"
         )
     cens = census(target)
     support = set(cens)

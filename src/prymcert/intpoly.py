@@ -9,6 +9,18 @@ data mod q is limited to distinct-degree factorization, since the Frobenius
 machinery downstream only consumes the multiset of irreducible-factor
 degrees, never the factors themselves.
 
+Distinct-degree factorization goes through the Frobenius map (von zur
+Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
+1992).  X = x^q mod f is computed once by left-to-right squaring, then the
+rows X^i mod f of the Berlekamp Q-matrix; since w(x)^q = w(X) over F_q,
+each further x^(q^d) is one vector-matrix product.  Work stays mod the
+original f: the factors of degree d are gcd(x^(q^d) - x, v) against the
+cofactor v, which divides f.  Products are exact Python ints packed by
+Kronecker substitution, reduced mod q once per output coefficient, and
+reduced mod f through f's nonzero coefficients only (three for the
+family's trinomials).  Results are memoized per (f, q) in a fixed-size
+cache, so the repeated scans of one chain factor each pair once.
+
 Text format (parse_poly / format_poly): signed integer-coefficient
 expressions in one variable, e.g. ``x^10 - x^2 - 1``; arbitrary whitespace,
 caret exponents, implicit coefficient 1.
@@ -16,6 +28,7 @@ caret exponents, implicit coefficient 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -506,69 +519,36 @@ def is_square(n: int) -> bool:
 # factorization degrees over F_q (distinct-degree factorization)
 # ---------------------------------------------------------------------------
 
-
-def _fq_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fq_mulmod(a: list[int], b: list[int], f: list[int], q: int) -> list[int]:
-    """a*b mod (monic f) over F_q; coefficient lists, ascending degree."""
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % q
-    df = len(f) - 1
-    for i in range(len(prod) - 1, df - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            shift = i - df
-            for k in range(df):
-                prod[k + shift] = (prod[k + shift] - c * f[k]) % q
-    del prod[df:]
-    return _fq_trim(prod)
-
-
-def _fq_powmod(a: list[int], e: int, f: list[int], q: int) -> list[int]:
-    result = [1]
-    base = a
-    while e:
-        if e & 1:
-            result = _fq_mulmod(result, base, f, q)
-        base = _fq_mulmod(base, base, f, q)
-        e >>= 1
-    return result
+# (f, q) pairs whose factor degrees are remembered; a chain asks for the same
+# pair several times (two irreducibility scans of u, then the Jordan scan)
+_FACTOR_DEGREES_MEMO = 4096
 
 
 def _fq_monic(a: list[int], q: int) -> list[int]:
-    a = _fq_trim([c % q for c in a])
-    if not a:
-        return a
-    inv = pow(a[-1], q - 2, q)
-    return [c * inv % q for c in a]
+    """a mod q, scaled to leading coefficient 1; [] when a is 0 mod q."""
+    top = len(a) - 1
+    while top >= 0 and a[top] % q == 0:
+        top -= 1
+    if top < 0:
+        return []
+    inv = pow(a[top], -1, q)
+    return [c * inv % q for c in a[:top + 1]]
 
 
 def _fq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    """Monic gcd over F_q; the inputs may hold any integers."""
     a, b = _fq_monic(a, q), _fq_monic(b, q)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        # a, b monic with deg a >= deg b
-        da, db = len(a) - 1, len(b) - 1
+        # a, b monic with deg a >= deg b; the remainder is reduced by _fq_monic
+        db = len(b) - 1
         r = list(a)
-        for i in range(da, db - 1, -1):
-            c = r[i]
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r[i] % q
             if c:
-                r[i] = 0
-                shift = i - db
-                for k in range(db):
-                    r[k + shift] = (r[k + shift] - c * b[k]) % q
-        a, b = b, _fq_monic(r, q)
+                r[i - db:i] = [x - c * y for x, y in zip(r[i - db:i], b)]
+        a, b = b, _fq_monic(r[:db], q)
     return a
 
 
@@ -578,14 +558,25 @@ def _fq_divexact(a: list[int], b: list[int], q: int) -> list[int]:
     db = len(b) - 1
     quot = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
+        c = a[i] % q
         if c:
             quot[i - db] = c
-            shift = i - db
-            for k in range(db + 1):
-                a[k + shift] = (a[k + shift] - c * b[k]) % q
-    assert not any(a), "inexact polynomial division"
+            a[i - db:i] = [x - c * y for x, y in zip(a[i - db:i], b)]
+    assert not any(c % q for c in a[:db]), "inexact polynomial division"
     return quot
+
+
+def _pack(coeffs: list[int], bits: int) -> int:
+    """Kronecker substitution: nonnegative coefficients below 2^bits as one integer."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = packed << bits | c
+    return packed
+
+
+def _unpack(packed: int, count: int, bits: int) -> list[int]:
+    mask = (1 << bits) - 1
+    return [packed >> shift & mask for shift in range(0, count * bits, bits)]
 
 
 def reduce_and_factor_degrees(f: IntPoly, q: int):
@@ -595,33 +586,73 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     summing to deg f) when f mod q is squarefree; returns RAMIFIED when it
     has a repeated factor (equivalently, q divides disc f).  Only degrees are
     computed: distinct-degree factorization without equal-degree splitting.
+
+    The Frobenius map is computed once: X = x^q mod f, then the rows X^i mod
+    f of the Berlekamp Q-matrix.  Since w(x)^q = w(x^q) over F_q, each
+    further x^(q^d) = w(X) is one product of the coefficient vector w with
+    that matrix.  Everything stays mod the original f; the factors of degree
+    d are gcd(x^(q^d) - x, v) for the cofactor v of the factors found so
+    far, which is valid because v divides f.  The result for each (f, q) is
+    memoized, so a repeated scan of the same polynomial costs nothing;
+    invalid arguments raise on every call.
     """
     if f.degree < 1:
         raise ValueError("factor degrees require a nonconstant polynomial")
-    if not is_prime(q):
+    if not isinstance(q, int) or not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if f.lc % q == 0:
         raise ValueError(f"q = {q} divides the leading coefficient")
-    v = _fq_monic(list(f.coeffs), q)
-    deriv = _fq_trim([i * c % q for i, c in enumerate(v)][1:])
-    if len(_fq_gcd(v, deriv, q)) - 1 != 0:
+    return _factor_degrees(f.coeffs, q)
+
+
+@functools.lru_cache(maxsize=_FACTOR_DEGREES_MEMO)
+def _factor_degrees(coeffs: tuple[int, ...], q: int):
+    f = _fq_monic(list(coeffs), q)
+    if len(_fq_gcd(f, [i * c for i, c in enumerate(f)][1:], q)) > 1:
         return RAMIFIED
+    n = len(f) - 1
+    tail = [(k, c) for k, c in enumerate(f[:n]) if c]  # f's nonzero lower terms
+    # a slot holds a sum of at most n products of residues
+    bits = (n * (q - 1) ** 2).bit_length()
+
+    def reduce(a):
+        """a mod f over F_q as n coefficients; a holds exact ints."""
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i] % q
+            if c:
+                for k, fk in tail:
+                    a[i - n + k] -= c * fk
+        a = [c % q for c in a[:n]]
+        return a + [0] * (n - len(a))
+
+    def mulmod(a_packed, b_packed):
+        return reduce(_unpack(a_packed * b_packed, 2 * n - 1, bits))
+
+    x = reduce([0, 1])
+    X = x  # X = x^q mod f, left to right; "times x" is a shift and one reduction step
+    for bit in bin(q)[3:]:
+        X_packed = _pack(X, bits)
+        X = mulmod(X_packed, X_packed)
+        if bit == "1":
+            X = reduce([0] + X)
+    # the rows X^i mod f of the Berlekamp Q-matrix, packed: w(x)^q = w(X) = sum w_i X^i
+    X_packed = _pack(X, bits)
+    rows = [_pack(reduce([1]), bits)]
+    while len(rows) < n:
+        rows.append(_pack(mulmod(rows[-1], X_packed), bits))
+
     degrees: list[int] = []
-    w = [0, 1]
+    v = f  # the cofactor of the factors found so far; it divides f, so w stays mod f
+    w = x  # x^(q^d) mod f
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        w = _fq_powmod(w, q, v, q)
-        w_minus_x = list(w) + [0, 0]
-        w_minus_x[1] = (w_minus_x[1] - 1) % q
-        g = _fq_gcd(_fq_trim(w_minus_x), v, q)
-        dg = len(g) - 1
-        if dg > 0:
-            degrees.extend([d] * (dg // d))
+        w = [c % q for c in _unpack(sum(c * r for c, r in zip(w, rows) if c), n, bits)]
+        g = _fq_gcd([w[0], w[1] - 1] + w[2:], v, q)
+        if len(g) > 1:
+            degrees.extend([d] * ((len(g) - 1) // d))
             v = _fq_divexact(v, g, q)
-            if len(v) - 1 > 0:
-                w = _fq_trim(list(_fq_mulmod(w, [1], v, q)))
-    if len(v) - 1 > 0:
+    if len(v) > 1:
         degrees.append(len(v) - 1)
     return CycleType(degrees)
 

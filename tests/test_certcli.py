@@ -60,6 +60,8 @@ def test_scan(tmp_path, capsys):
     assert csv_text.splitlines()[0].startswith("p,r,m,")
     assert run(["scan", "--p-max", "5", "--r-max", "4", "--format", "text"]) == 0
     assert run(["scan", "--p-max", "1", "--r-max", "4"]) == 3
+    # no odd prime is <= 2, so the grid would be empty
+    assert run(["scan", "--p-max", "2", "--r-max", "2", "--format", "csv"]) == 3
 
 
 def test_galois_certify(tmp_path):
@@ -93,6 +95,11 @@ def test_galois_usage_errors():
     assert run(["galois", "--poly", "x^5-x-1", "--mode", "sample"]) == 3
     assert run(["galois", "--mode", "sample"]) == 3
     assert run(["galois", "--m", "4"]) == 3
+
+
+def test_galois_sample_rejects_repeated_factor():
+    assert run(["galois", "--m", "3", "--c", "0", "--mode", "sample"]) == 3
+    assert run(["galois", "--poly", "x^4", "--mode", "sample", "--samples", "10"]) == 3
 
 
 def test_galois_text_format(capsys):

@@ -17,7 +17,7 @@ from prymcert.galoiscert import (
     unramified_frobenius_samples,
     verify_replay,
 )
-from prymcert.intpoly import CycleType, parse_poly, trinomial
+from prymcert.intpoly import CycleType, compose_x2, parse_poly, trinomial
 from prymcert.signedperm import GroupDescriptor, SignedPerm, census, in_wdm, induced_cycle_type
 
 
@@ -69,6 +69,13 @@ def test_chebotarev_guards():
         chebotarev_verdict(parse_poly("x^6 - x^2 - 1"), GroupDescriptor.wdm(3), 0)
     with pytest.raises(ValueError):
         chebotarev_verdict(parse_poly("x^6 - x^2 - 1"), GroupDescriptor.wdm(4), 50)
+
+
+def test_chebotarev_rejects_repeated_factor():
+    # every prime is ramified, so the sampler would never yield
+    for h, m in ((compose_x2(trinomial(3, 0)), 3), (parse_poly("x^4"), 2)):
+        with pytest.raises(ValueError, match="not squarefree"):
+            chebotarev_verdict(h, GroupDescriptor.wdm(m), 10)
 
 
 def test_chebotarev_subsampling_is_seed_deterministic():

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: oracles first, closed forms second."""
 
+import itertools
 import random
 
 import numpy as np
@@ -26,6 +27,7 @@ from prymcert.intpoly import (
     is_square,
     parse_poly,
     poly_gcd,
+    primes,
     reduce_and_factor_degrees,
     resultant,
     trinomial,
@@ -285,6 +287,88 @@ def test_factor_degrees_match_cycle_type_of_known_splitting():
     for q in (3, 5, 7, 11, 13):
         ct = reduce_and_factor_degrees(f, q)
         assert ct in (CycleType([1, 1, 1, 1]), CycleType([2, 2])), (q, ct)
+
+
+def _sympy_factor_degrees(f, q):
+    """Independent oracle: sympy's squarefree test and distinct-degree factorization."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+    _, g = gt.gf_monic(gt.gf_from_int_poly(list(reversed(f.coeffs)), q), q, ZZ)
+    if not gt.gf_sqf_p(g, q, ZZ):
+        return RAMIFIED
+    return CycleType(
+        d for factor, d in gt.gf_ddf_zassenhaus(g, q, ZZ) for _ in range((len(factor) - 1) // d)
+    )
+
+
+def _oracle_corpus():
+    """Fixed (f, primes) pairs: the family, random polynomials, and products.
+
+    The pure-Python oracle is slow, so random polynomials get a seeded sample
+    of the primes and high-degree family members a few primes each.
+    """
+    small_primes = list(itertools.islice(primes(), 40))
+    all_primes = small_primes + [17417, 65521, 2**31 - 1]
+    rng = random.Random(20261018)
+    pairs = []
+    for m in (3, 5, 7, 9):
+        u = trinomial(m, 1)
+        pairs += [(u, all_primes), (compose_x2(u), all_primes)]
+    u29, u61 = trinomial(29, 1), trinomial(61, 1)
+    pairs += [(u29, small_primes[:12] + [17417]), (compose_x2(u29), small_primes[:6] + [17417])]
+    pairs += [(u61, small_primes[:6] + [17417]), (compose_x2(u61), small_primes[:3])]
+    for _ in range(40):
+        f = _random_poly(rng, rng.randint(1, 20), monic=rng.random() < 0.5)
+        pairs.append((f, rng.sample(all_primes, 8)))
+    for _ in range(15):
+        # a repeated factor: RAMIFIED at every prime
+        a, b = _random_poly(rng, rng.randint(1, 4)), _random_poly(rng, rng.randint(1, 6))
+        pairs.append((a * a * b, all_primes))
+    for _ in range(15):
+        # several factors of distinct degrees: the cofactor shrinks more than once
+        f = IntPoly.one()
+        for d in rng.sample(range(1, 7), rng.randint(2, 4)):
+            f = f * _random_poly(rng, d)
+        pairs.append((f, rng.sample(all_primes, 10)))
+    pairs.append((parse_poly("x^2 + 1") ** 2 * parse_poly("x^3 - x - 1"), all_primes))
+    f = IntPoly.one()
+    for text in ("x - 3", "x^2 + x + 1", "x^3 - x - 1", "x^5 - x - 1"):
+        f = f * parse_poly(text)
+    pairs.append((f, all_primes))
+    return [(f, [q for q in qs if f.lc % q]) for f, qs in pairs]
+
+
+def test_factor_degrees_agree_with_sympy():
+    pairs = ramified = 0
+    for f, qs in _oracle_corpus():
+        for q in qs:
+            ct = reduce_and_factor_degrees(f, q)
+            expected = _sympy_factor_degrees(f, q)
+            if expected is RAMIFIED:
+                assert ct is RAMIFIED, (f, q, ct)
+                ramified += 1
+            else:
+                assert ct == expected, (f, q, ct, expected)
+                assert ct.total == f.degree
+            pairs += 1
+    assert pairs > 1500 and ramified > 600
+
+
+def test_factor_degrees_repeat_calls():
+    f = compose_x2(trinomial(7, 1))
+    for q in (3, 17417, 2**31 - 1):
+        assert reduce_and_factor_degrees(f, q) == reduce_and_factor_degrees(f, q)
+    assert reduce_and_factor_degrees(f, 2) is reduce_and_factor_degrees(f, 2) is RAMIFIED
+    reduce_and_factor_degrees(parse_poly("3x^2 + 1"), 5)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            reduce_and_factor_degrees(parse_poly("3x^2 + 1"), 3)
+        with pytest.raises(ValueError):
+            reduce_and_factor_degrees(f, 4)
+        with pytest.raises(ValueError):
+            reduce_and_factor_degrees(f, 3.0)
+        with pytest.raises(ValueError):
+            reduce_and_factor_degrees(parse_poly("5"), 3)
 
 
 # ---------------------------------------------------------------------------
