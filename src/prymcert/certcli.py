@@ -62,6 +62,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog=TOOL_NAME,
@@ -75,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, samples=True):
         sp.add_argument("--samples", type=int, default=2000)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--prime-budget", type=int, default=500)
+        sp.add_argument("--prime-budget", type=_positive_int, default=500)
 
     v = sub.add_parser("verify", help="run the full certificate pipeline for (p, r)")
     v.add_argument("--p", type=int, required=True)

@@ -7,10 +7,12 @@ the constants, and the sum-zero space on all 2m+1 labels.  A signed
 permutation acts by phi -> phi o g^(-1); action matrices are signed
 permutation matrices in the chosen basis.
 
-All linear algebra is exact Gaussian elimination over residues mod p.  The
-arrays are int64 (entries < p, intermediate products < p^2), so numpy is
-used purely as a fast exact integer container, never in floating point;
-moduli with (p-1)^2 >= 2^63 are rejected.
+All linear algebra is exact Gauss-Jordan elimination over residues mod p,
+on matrices stored as lists of rows of Python ints, so no product can wrap.
+A row update skips zero multipliers and touches only the nonzero entries of
+the pivot row, which keeps the sparse delta and odd bases at O(dim^2) work
+per action matrix.  The documented modulus range is (p-1)^2 < 2^63; larger
+moduli are rejected.  The internal helpers take any 2-D integer sequence.
 
 The commutant dimension is counted from the action matrices themselves.
 When every generator acts monomially (e_j -> a_j e_sigma(j), as on the
@@ -23,8 +25,6 @@ independently as a cross-check, never assumed.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ._primes import is_prime
 from .prymcalc import dim_prym
@@ -55,125 +55,137 @@ __all__ = [
 ]
 
 
-def _check_int64_modulus(p: int) -> None:
-    """Reject moduli whose residue products would wrap in int64."""
+def _check_modulus(p: int) -> None:
+    """Reject moduli outside the documented range (p-1)^2 < 2^63."""
     if (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"modulus {p} too large: int64 arithmetic needs (p-1)^2 < 2^63")
+        raise ValueError(f"modulus {p} too large: the supported range is (p-1)^2 < 2^63")
+
+
+def _rows(a, p: int) -> list[list[int]]:
+    """A fresh copy of the 2-D integer sequence a as rows of residues mod p."""
+    return [[int(v) % p if v else 0 for v in row] for row in a]  # cheap on sparse rows
+
+
+def _zeros(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    out = _zeros(n, n)
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 class FpMatrix:
-    """A square matrix over F_p; a thin exact wrapper around an int64 array."""
+    """A square matrix over F_p, stored as rows of residues (Python ints)."""
 
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, a):
-        _check_int64_modulus(p)
+        _check_modulus(p)
         self.p = p
-        self.a = np.asarray(a, dtype=np.int64) % p
+        self.a = _rows(a, p)
 
     @classmethod
     def identity(cls, p: int, n: int) -> FpMatrix:
-        return cls(p, np.eye(n, dtype=np.int64))
+        return cls(p, _identity_rows(n))
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return len(self.a)
 
     def __matmul__(self, other: FpMatrix) -> FpMatrix:
         if self.p != other.p:
             raise ValueError("mismatched moduli")
-        return FpMatrix(self.p, (self.a.astype(object) @ other.a.astype(object)) % self.p)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and np.array_equal(self.a, other.a)
+        cols = list(zip(*other.a))
+        return FpMatrix(
+            self.p, [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.a]
         )
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FpMatrix) and self.p == other.p and self.a == other.a
+
     def __hash__(self):
-        return hash((self.p, self.a.tobytes()))
+        return hash((self.p, tuple(map(tuple, self.a))))
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.a]
+        return [row[:] for row in self.a]
 
     def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p}, {self.to_lists()})"
+        return f"FpMatrix(p={self.p}, {self.a})"
 
 
-def _eliminate(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """In-place row reduction mod p; returns (matrix, pivot column list)."""
-    rows, cols = M.shape
+def _eliminate(M: list[list[int]], p: int) -> list[int]:
+    """In-place Gauss-Jordan reduction of the rows M mod p; returns the pivot columns."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if M[i, c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = M[r] * inv % p
-        col = M[:, c].copy()
-        col[r] = 0
-        M -= np.outer(col, M[r])
-        M %= p
+        M[r], M[piv] = M[piv], M[r]
+        prow = M[r]
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            prow[:] = [v * inv % p for v in prow]
+        support = [(j, v) for j, v in enumerate(prow) if v]
+        for i, row in enumerate(M):
+            f = row[c]
+            if f and i != r:
+                for j, v in support:
+                    row[j] = (row[j] - f * v) % p
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return M, pivots
+    return pivots
 
 
-def _rank(M: np.ndarray, p: int) -> int:
-    if M.size == 0:
-        return 0
-    _, pivots = _eliminate(M.copy() % p, p)
-    return len(pivots)
+def _rank(M, p: int) -> int:
+    return len(_eliminate(_rows(M, p), p))
 
 
-def _solve_in_span(B: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
+def _solve_in_span(B, V, p: int) -> list[list[int]]:
     """Solve B X = V mod p where B has full column rank; raises if V not in span."""
-    d = B.shape[1]
-    M = np.concatenate([B, V], axis=1) % p
-    M, pivots = _eliminate(M, p)
-    if pivots[: len(pivots)] != list(range(d))[: len(pivots)] or len(pivots) < d:
-        if any(c >= d for c in pivots):
+    B = _rows(B, p)
+    d = len(B[0]) if B else 0
+    M = [b + v for b, v in zip(B, _rows(V, p))]
+    pivots = _eliminate(M, p)
+    if pivots != list(range(d)):
+        if pivots and pivots[-1] >= d:
             raise ValueError("image vector not in the span of the basis")
         raise ValueError("basis does not have full column rank")
-    # rows beyond d must be zero in the V part too
-    if M.shape[0] > d and M[d:, d:].any():
-        raise ValueError("image vector not in the span of the basis")
-    return M[:d, d:] % p
+    # exactly the pivots 0..d-1: the rows below d are zero, V included
+    return [row[d:] for row in M[:d]]
 
 
 class FpSpace:
     """A based F_p-subspace of functions on a labeled root set.
 
-    The basis is a matrix whose columns are the basis vectors written in the
-    delta-function coordinates of the ambient label set.
+    The basis is a matrix (rows of residues) whose columns are the basis
+    vectors written in the delta-function coordinates of the ambient label
+    set.
     """
 
-    def __init__(self, p: int, roots: LabeledRoots, basis: np.ndarray, name: str):
-        _check_int64_modulus(p)
+    def __init__(self, p: int, roots: LabeledRoots, basis, name: str):
+        _check_modulus(p)
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.roots = roots
         self.labels = roots.labels()
         self.index = {lbl: i for i, lbl in enumerate(self.labels)}
-        self.basis = np.asarray(basis, dtype=np.int64) % p
+        self.basis = _rows(basis, p)
         self.name = name
-        if self.basis.shape[0] != len(self.labels):
+        if len(self.basis) != len(self.labels):
             raise ValueError("basis rows must match the ambient label count")
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return len(self.basis[0])
 
     @property
     def m(self) -> int:
@@ -185,7 +197,7 @@ class FpSpace:
 
 def function_space_on_roots(m: int, p: int) -> FpSpace:
     """The full function space F_p^(R_h), delta-function basis, dim 2m."""
-    return FpSpace(p, roots_h(m), np.eye(2 * m, dtype=np.int64), "F_p^R_h")
+    return FpSpace(p, roots_h(m), _identity_rows(2 * m), "F_p^R_h")
 
 
 def odd_space(m: int, p: int) -> FpSpace:
@@ -195,50 +207,50 @@ def odd_space(m: int, p: int) -> FpSpace:
     restriction to the nonzero labels is an isomorphism onto W_h^-).
     """
     roots = roots_h(m)
-    B = np.zeros((2 * m, m), dtype=np.int64)
+    B = _zeros(2 * m, m)
     for i in range(m):
-        B[i, i] = 1
-        B[m + i, i] = -1
+        B[i][i] = 1
+        B[m + i][i] = -1
     return FpSpace(p, roots, B, "V_f^-")
 
 
 def even_space(m: int, p: int) -> FpSpace:
     """Even functions on the nonzero labels: basis delta(+i) + delta(-i)."""
-    B = np.zeros((2 * m, m), dtype=np.int64)
+    B = _zeros(2 * m, m)
     for i in range(m):
-        B[i, i] = 1
-        B[m + i, i] = 1
+        B[i][i] = 1
+        B[m + i][i] = 1
     return FpSpace(p, roots_h(m), B, "W_h^+")
 
 
 def even_zero_space(m: int, p: int) -> FpSpace:
     """Even functions with zero value sum; dim m - 1."""
-    B = np.zeros((2 * m, m - 1), dtype=np.int64)
+    B = _zeros(2 * m, m - 1)
     for i in range(m - 1):
-        B[i, i] = 1
-        B[m + i, i] = 1
-        B[i + 1, i] = -1
-        B[m + i + 1, i] = -1
+        B[i][i] = 1
+        B[m + i][i] = 1
+        B[i + 1][i] = -1
+        B[m + i + 1][i] = -1
     return FpSpace(p, roots_h(m), B, "W_h^+,0")
 
 
 def constant_space(m: int, p: int) -> FpSpace:
     """The constants F_p . 1 on the nonzero labels."""
-    return FpSpace(p, roots_h(m), np.ones((2 * m, 1), dtype=np.int64), "F_p.1")
+    return FpSpace(p, roots_h(m), [[1] for _ in range(2 * m)], "F_p.1")
 
 
 def vf_space(m: int, p: int) -> FpSpace:
     """Sum-zero functions on all 2m+1 labels; dim 2m."""
     roots = LabeledRoots(m, "R_f")
     labels = roots.labels()
-    B = np.zeros((2 * m + 1, 2 * m), dtype=np.int64)
+    B = _zeros(2 * m + 1, 2 * m)
     zero_row = labels.index(0)
     col = 0
     for row, lbl in enumerate(labels):
         if lbl == 0:
             continue
-        B[row, col] = 1
-        B[zero_row, col] = -1
+        B[row][col] = 1
+        B[zero_row][col] = -1
         col += 1
     return FpSpace(p, roots, B, "V_f")
 
@@ -248,21 +260,24 @@ def vf_plus_space(m: int, p: int) -> FpSpace:
     roots = LabeledRoots(m, "R_f")
     labels = roots.labels()
     idx = {lbl: i for i, lbl in enumerate(labels)}
-    B = np.zeros((2 * m + 1, m), dtype=np.int64)
+    B = _zeros(2 * m + 1, m)
     for i in range(1, m + 1):
-        B[idx[i], i - 1] = 1
-        B[idx[-i], i - 1] = 1
-        B[idx[0], i - 1] = -2
+        B[idx[i]][i - 1] = 1
+        B[idx[-i]][i - 1] = 1
+        B[idx[0]][i - 1] = -2
     return FpSpace(p, roots, B, "V_f^+")
 
 
-def _push_forward(space: FpSpace, image_of_label) -> np.ndarray:
+def _push_forward(space: FpSpace, image_of_label) -> list[list[int]]:
     """Matrix of phi -> phi o g^(-1) on the ambient delta coordinates."""
-    n = len(space.labels)
-    out = np.zeros((n, space.basis.shape[1]), dtype=np.int64)
+    p = space.p
+    out = _zeros(len(space.labels), space.dim)
     for row, lbl in enumerate(space.labels):
-        out[space.index[image_of_label(lbl)]] += space.basis[row]
-    return out % space.p
+        target = out[space.index[image_of_label(lbl)]]
+        for j, v in enumerate(space.basis[row]):
+            if v:
+                target[j] = (target[j] + v) % p
+    return out
 
 
 def action_matrix(g: SignedPerm, space: FpSpace) -> FpMatrix:
@@ -270,26 +285,26 @@ def action_matrix(g: SignedPerm, space: FpSpace) -> FpMatrix:
     if g.m != space.m:
         raise ValueError(f"element acts on m={g.m}, space has m={space.m}")
     V = _push_forward(space, lambda lbl: space.roots.act(g, lbl))
-    X = _solve_in_span(space.basis.copy(), V, space.p)
-    return FpMatrix(space.p, X)
+    return FpMatrix(space.p, _solve_in_span(space.basis, V, space.p))
 
 
 def d2_matrix(space: FpSpace) -> FpMatrix:
     """Matrix of the involution phi(alpha) -> phi(-alpha) on the space."""
     V = _push_forward(space, lambda lbl: -lbl)
-    X = _solve_in_span(space.basis.copy(), V, space.p)
-    return FpMatrix(space.p, X)
+    return FpMatrix(space.p, _solve_in_span(space.basis, V, space.p))
 
 
-def _monomial_form(A: np.ndarray) -> tuple[list[int], list[int]] | None:
+def _monomial_form(A) -> tuple[list[int], list[int]] | None:
     """(sigma, a) with A e_j = a_j e_sigma(j), or None if A is not monomial."""
-    d = A.shape[1]
-    rows, cols = np.nonzero(A)  # in row-major order
-    rows, cols, vals = rows.tolist(), cols.tolist(), A[rows, cols].tolist()
-    if rows != list(range(d)) or sorted(cols) != rows:
-        return None
-    sigma, a = [0] * d, [0] * d
-    for i, j, v in zip(rows, cols, vals):
+    d = len(A)
+    sigma, a = [-1] * d, [0] * d
+    for i, row in enumerate(A):
+        nonzero = [(j, int(v)) for j, v in enumerate(row) if v]
+        if len(row) != d or len(nonzero) != 1:
+            return None
+        j, v = nonzero[0]
+        if sigma[j] != -1:
+            return None
         sigma[j], a[j] = i, v
     return sigma, a
 
@@ -342,11 +357,21 @@ def _orbit_commutant_dim(forms: list[tuple[list[int], list[int]]], d: int, p: in
     return sum(1 for u in range(n) if parent[u] == u and not forced_zero[u])
 
 
-def _dense_commutant_dim(mats: list[np.ndarray], d: int, p: int) -> int:
+def _dense_commutant_dim(mats, d: int, p: int) -> int:
     """Commutant dimension as the exact null space of the stacked constraints
     (A (x) I - I (x) A^T) vec(X) = 0; O(d^6), any action matrices."""
-    eye = np.eye(d, dtype=np.int64)
-    M = np.concatenate([(np.kron(A, eye) - np.kron(eye, A.T)) % p for A in mats], axis=0)
+    M = []
+    for A in mats:
+        A = _rows(A, p)
+        for i in range(d):
+            for k in range(d):
+                # coefficient of X[j, l] in (A X - X A)[i, k]
+                row = [0] * (d * d)
+                for j in range(d):
+                    row[j * d + k] += A[i][j]
+                for l in range(d):
+                    row[i * d + l] -= A[l][k]
+                M.append(row)
     return d * d - _rank(M, p)
 
 

@@ -205,12 +205,24 @@ def find_refutation(types, support) -> CycleType | None:
 
 
 def unramified_frobenius_samples(h: IntPoly, samples: int):
-    """Yield (q, cycle type) for the first `samples` unramified primes q.
+    """Iterator over (q, cycle type) for the first `samples` unramified primes q.
 
     Primes divide neither the leading coefficient nor the discriminant (the
     latter detected directly from the repeated-factor test mod q), in
-    increasing order, so the stream is deterministic.
+    increasing order, so the stream is deterministic.  A polynomial with a
+    repeated factor has no unramified prime and is rejected with a
+    ValueError on the call, before any prime is tried.
     """
+    if discriminant(h) == 0:
+        raise ValueError(
+            f"{format_poly(h)} is not squarefree: it shares the factor "
+            f"{format_poly(poly_gcd(h, h.derivative()))} with its derivative, "
+            "so every prime is ramified"
+        )
+    return _frobenius_stream(h, samples)
+
+
+def _frobenius_stream(h: IntPoly, samples: int):
     found = 0
     for q in primes():
         if h.lc % q == 0:
@@ -248,18 +260,13 @@ def chebotarev_verdict(
         raise ValueError(
             f"degree {h.degree} polynomial cannot match a group on {2 * target.m} points"
         )
-    if discriminant(h) == 0:
-        raise ValueError(
-            f"{format_poly(h)} is not squarefree: it shares the factor "
-            f"{format_poly(poly_gcd(h, h.derivative()))} with its derivative, "
-            "so every prime is ramified"
-        )
+    frobenius = unramified_frobenius_samples(h, pool if pool else samples)  # checks h first
     cens = census(target)
     support = set(cens)
     order = sum(cens.values())
     tj = target.to_json()
 
-    stream = list(unramified_frobenius_samples(h, pool if pool else samples))
+    stream = list(frobenius)
     if pool and pool > samples:
         rng = random.Random(seed)
         stream = sorted(rng.sample(stream, samples))

@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import prymcert
 from prymcert.certcli import main
 
 
@@ -121,3 +126,20 @@ def test_invariants(tmp_path, capsys):
     assert run(["invariants", "--p", "3", "--r", "3", "--format", "text"]) == 0
     assert "r odd: coprimality fails" in capsys.readouterr().out
     assert run(["invariants", "--p", "2", "--r", "2"]) == 3
+
+
+def test_prime_budget_below_one_is_usage_error(capsys):
+    for budget in ("0", "-5"):
+        assert run(["verify", "--p", "5", "--r", "2", "--prime-budget", budget]) == 3
+        assert run(["galois", "--m", "9", "--prime-budget", budget]) == 3
+    assert "--prime-budget: must be >= 1" in capsys.readouterr().err
+    assert run(["galois", "--m", "9", "--prime-budget", "1"]) == 2
+
+
+def test_cli_import_does_not_load_numpy():
+    # the CLI path is pure Python; numpy is a test-only dependency
+    code = "import sys, prymcert.certcli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    src = str(Path(prymcert.__file__).resolve().parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr.decode()

@@ -23,6 +23,7 @@ from prymcert.fpmodule import (
     vf_space,
 )
 from prymcert.fpmodule import _dense_commutant_dim, _monomial_form, _rank
+from prymcert.fpmodule import _solve_in_span
 from prymcert.signedperm import GroupDescriptor, SignedPerm, orbits, roots_h
 
 
@@ -234,3 +235,56 @@ def test_lambda_rank_identity():
     for p in (3, 5, 7, 11, 13):
         for r in range(2, 7):
             assert lambda_rank_check(p, p * r - 1)
+
+
+# ---------------------------------------------------------------------------
+# elimination against an independent oracle
+# ---------------------------------------------------------------------------
+
+
+def _mul(A, B, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*B)] for row in A]
+
+
+def _random_matrix(rng, rows, cols, p, rank=None):
+    """Random rows x cols matrix mod p; with `rank`, a product through that inner size."""
+    if rank is None:
+        return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    return _mul(_random_matrix(rng, rows, rank, p), _random_matrix(rng, rank, cols, p), p)
+
+
+def test_elimination_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def oracle_rank(M, p):
+        return DomainMatrix.from_list(M, sympy.GF(p)).rank() if M and M[0] else 0
+
+    rng = random.Random(54)
+    for p in (2, 3, 5, 7, 31, 3037000493):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            k = rng.choice((None, rng.randint(0, min(rows, cols))))
+            M = _random_matrix(rng, rows, cols, p, k)
+            assert _rank(M, p) == oracle_rank(M, p), (p, M)
+
+            # B of full column rank d; V = B Y is solved back to Y exactly
+            d = rng.randint(1, 6)
+            B = _random_matrix(rng, d + rng.randint(0, 4), d, p)
+            if oracle_rank(B, p) < d:
+                continue
+            Y = _random_matrix(rng, d, rng.randint(1, 4), p)
+            V = _mul(B, Y, p)
+            X = _solve_in_span(B, V, p)
+            assert X == Y and _mul(B, X, p) == V, (p, B, V)
+
+            # a column outside the span is rejected
+            w = _random_matrix(rng, len(B), 1, p)
+            if oracle_rank([b + x for b, x in zip(B, w)], p) > d:
+                with pytest.raises(ValueError, match="not in the span"):
+                    _solve_in_span(B, [v + x for v, x in zip(V, w)], p)
+
+        # a basis without full column rank is rejected even for V in its span
+        B = _random_matrix(rng, 6, 4, p, 2)
+        with pytest.raises(ValueError, match="full column rank"):
+            _solve_in_span(B, _mul(B, _random_matrix(rng, 4, 2, p), p), p)

@@ -1,10 +1,15 @@
 """Certificate engine: rules, sampling soundness, descent, replay."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prymcert
 from prymcert.galoiscert import (
     Containment,
     certify_prym,
@@ -279,3 +284,23 @@ def test_certificate_schema():
         assert set(step) == {"rule", "premises", "conclusion"}
         for prem in step["premises"]:
             assert set(prem) == {"fact", "value"}
+
+
+def test_frobenius_sampler_rejects_repeated_factor():
+    # every prime is ramified, so an unguarded stream would never yield; the
+    # subprocess timeout turns a hang into a failure instead of a stuck suite
+    code = (
+        "from prymcert.galoiscert import unramified_frobenius_samples\n"
+        "from prymcert.intpoly import compose_x2, parse_poly, trinomial\n"
+        "for h in (parse_poly('x^4'), compose_x2(trinomial(3, 0))):\n"
+        "    try:\n"
+        "        next(unramified_frobenius_samples(h, 10))\n"
+        "    except ValueError as exc:\n"
+        "        assert 'not squarefree' in str(exc), exc\n"
+        "    else:\n"
+        "        raise SystemExit('no ValueError')\n"
+    )
+    src = str(Path(prymcert.__file__).resolve().parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr.decode()
