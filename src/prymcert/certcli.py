@@ -120,8 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc_text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(doc_text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(doc_text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(doc_text)
 

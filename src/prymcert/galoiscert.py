@@ -31,14 +31,15 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
-from ._primes import is_prime, primes
+from ._primes import is_prime
 from .intpoly import (
-    RAMIFIED,
     Certified,
     CycleType,
     IntPoly,
     Irreducible,
+    _composite_rule,
     compose_x2,
     condition_p_r,
     disc_of_even_composite,
@@ -48,8 +49,8 @@ from .intpoly import (
     irreducible_over_Q,
     is_square,
     poly_gcd,
-    reduce_and_factor_degrees,
     trinomial,
+    unramified_factor_degrees,
 )
 from .fpmodule import commutant_dim, heart_f2_irreducible, odd_space
 from .prymcalc import (
@@ -78,10 +79,6 @@ DETERMINISTIC = "Deterministic"
 PROBABILISTIC = "Probabilistic"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
-
-# exact subresultant discriminants stay fast up to this degree; beyond it the
-# family closed form (validated against the oracle on the test grid) is used
-_EXACT_DISC_DEGREE = 50
 
 # spinning budget of heart_f2_irreducible
 _HEART_MAX_M = 13
@@ -207,33 +204,19 @@ def find_refutation(types, support) -> CycleType | None:
 def unramified_frobenius_samples(h: IntPoly, samples: int):
     """Iterator over (q, cycle type) for the first `samples` unramified primes q.
 
-    Primes divide neither the leading coefficient nor the discriminant (the
-    latter detected directly from the repeated-factor test mod q), in
+    Primes divide neither the leading coefficient nor the discriminant, in
     increasing order, so the stream is deterministic.  A polynomial with a
     repeated factor has no unramified prime and is rejected with a
     ValueError on the call, before any prime is tried.
     """
-    if discriminant(h) == 0:
+    disc = discriminant(h)
+    if disc == 0:
         raise ValueError(
             f"{format_poly(h)} is not squarefree: it shares the factor "
             f"{format_poly(poly_gcd(h, h.derivative()))} with its derivative, "
             "so every prime is ramified"
         )
-    return _frobenius_stream(h, samples)
-
-
-def _frobenius_stream(h: IntPoly, samples: int):
-    found = 0
-    for q in primes():
-        if h.lc % q == 0:
-            continue
-        ct = reduce_and_factor_degrees(h, q)
-        if ct is RAMIFIED:
-            continue
-        yield q, ct
-        found += 1
-        if found >= samples:
-            return
+    return islice(unramified_factor_degrees(h, disc), samples)
 
 
 def chebotarev_verdict(
@@ -371,21 +354,31 @@ def _containment_step(u: IntPoly, m: int, result: Containment) -> RuleStep:
     )
 
 
-def _scan_for_sm_cycle(u: IntPoly, disc_u: int, prime_budget: int):
-    """Search primes <= budget for a cycle type certifying S_m via Jordan."""
+def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
+    """One walk over the unramified primes <= budget for u's two S_m witnesses.
+
+    Returns (irreducibility witness, (Jordan prime, IsSm)): the first q with
+    u irreducible mod q and the first q whose cycle type has a prime cycle
+    certifying S_m by Jordan, each None when the budget runs out first.  The
+    Jordan search assumes u irreducible, so its verdict counts only together
+    with the irreducibility witness; it is skipped when disc(u) is a square,
+    where no cycle type certifies S_m.
+    """
     m = u.degree
-    for q in primes():
+    want_jordan = not is_square(disc_u)
+    witness = jordan = None
+    for q, ct in unramified_factor_degrees(u, disc_u):
         if q > prime_budget:
-            return None
-        if u.lc % q == 0 or disc_u % q == 0:
-            continue
-        ct = reduce_and_factor_degrees(u, q)
-        if ct is RAMIFIED:
-            continue
-        verdict = sm_certificate([ct], is_square(disc_u), True, m)
-        if isinstance(verdict, IsSm):
-            return q, verdict
-    return None
+            break
+        if witness is None and ct == CycleType([m]):
+            witness = q
+        if jordan is None and want_jordan:
+            verdict = sm_certificate([ct], False, True, m)
+            if isinstance(verdict, IsSm):
+                jordan = q, verdict
+        if witness is not None and (jordan is not None or not want_jordan):
+            break
+    return witness, jordan
 
 
 def certify_wdm_over_Q(
@@ -443,14 +436,11 @@ def certify_wdm_over_Q(
             },
         )
 
-    composite = irreducible_composite_rule(u, prime_budget)
-
     if m >= 9:
-        return _deterministic_chain(
-            cert, steps, u, m, c, disc_u, composite, prime_budget, claim
-        )
+        return _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim)
 
     # m in {3, 5, 7}: sampling fallback
+    composite = irreducible_composite_rule(u, prime_budget)
     if isinstance(composite, Certified):
         steps.append(
             RuleStep(
@@ -499,7 +489,7 @@ def certify_wdm_over_Q(
     )
 
 
-def _deterministic_chain(cert, steps, u, m, c, disc_u, composite, prime_budget, claim):
+def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
     side_condition = 2 * m < m * (m - 1) // 2
 
     if not is_square(c):
@@ -513,34 +503,34 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, composite, prime_budget, 
             {"failed_premise": "2m < m(m-1)/2 (subgroup index side condition)"},
         )
 
-    verdict_u = irreducible_over_Q(u, prime_budget)
-    if not isinstance(verdict_u, Irreducible):
+    witness, jordan = _witness_walk(u, disc_u, prime_budget)
+    if witness is None:
+        # the walk saw what irreducible_over_Q sees; it names Reducible or Inconclusive
         return cert(
             steps,
             INCONCLUSIVE,
             {"failed_premise": "u is irreducible over Q",
-             "detail": repr(verdict_u)},
+             "detail": repr(irreducible_over_Q(u, prime_budget))},
         )
     if is_square(disc_u):
         return cert(
             steps, INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"}
         )
-    scan = _scan_for_sm_cycle(u, disc_u, prime_budget)
-    if scan is None:
+    if jordan is None:
         return cert(
             steps,
             INCONCLUSIVE,
             {"failed_premise": "a qualifying prime-length cycle was observed "
              f"within the prime budget {prime_budget}"},
         )
-    q_cycle, sm = scan
+    q_cycle, sm = jordan
     steps.insert(
         0,
         RuleStep(
             rule="SmCert",
             conclusion=f"Gal({format_poly(u)} / Q) = S_{m}",
             premises=[
-                _prem("u irreducible over Q (witness prime)", verdict_u.witness),
+                _prem("u irreducible over Q (witness prime)", witness),
                 _prem("disc(u)", disc_u),
                 _prem("disc(u) is a square", False),
                 _prem("cycle type observed mod q", list(sm.witness_type)),
@@ -552,6 +542,7 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, composite, prime_budget, 
             ],
         ),
     )
+    composite = _composite_rule(u, lambda: Irreducible(witness))
     if not isinstance(composite, Certified):
         return cert(
             steps,
@@ -656,14 +647,8 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
     u = trinomial(m, 1)
     h = compose_x2(u)
     cond = condition_p_r(p, r)
-    disc_h_closed = disc_of_even_composite(m, 1)
-    if h.degree <= _EXACT_DISC_DEGREE:
-        disc_h = discriminant(h)
-        assert disc_h == disc_h_closed, "closed form disagrees with subresultants"
-        disc_route = "subresultant PRS, cross-checked against the closed form"
-    else:
-        disc_h = disc_h_closed
-        disc_route = "closed form 4^m c disc(u)^2 (oracle-validated on the grid)"
+    disc_h = discriminant(h)
+    assert disc_h == disc_of_even_composite(m, 1), "closed form disagrees with subresultants"
     disc_coprime = disc_h % p != 0
 
     params = {"p": p, "r": r, "m": m, "n": 2 * m + 1, "c": 1}
@@ -679,7 +664,7 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
             _prem("shortcut: r = 2 (mod p-1)", cond.shortcut_r_mod),
             _prem("shortcut: 2^(r-2) < p-1", cond.shortcut_small),
             _prem("disc(u(x^2))", disc_h),
-            _prem("disc route", disc_route),
+            _prem("disc route", "subresultant PRS, cross-checked against the closed form"),
             _prem("p does not divide disc(u(x^2))", disc_coprime),
         ],
     )

@@ -4,10 +4,10 @@ Polynomials are dense coefficient tuples of arbitrary-precision integers
 (index = degree of the monomial), so nothing in this module ever rounds.
 Resultants and discriminants are computed by the subresultant polynomial
 remainder sequence: no fraction-field arithmetic, exact at every step, and
-fast at the degrees (<= 50) the certificate pipeline needs.  Factorization
-data mod q is limited to distinct-degree factorization, since the Frobenius
-machinery downstream only consumes the multiset of irreducible-factor
-degrees, never the factors themselves.
+fast at the degrees (up to 122 for m = 61) the certificate pipeline needs.
+Factorization data mod q is limited to distinct-degree factorization, since
+the Frobenius machinery downstream only consumes the multiset of
+irreducible-factor degrees, never the factors themselves.
 
 Distinct-degree factorization goes through the Frobenius map (von zur
 Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
@@ -18,8 +18,10 @@ original f: the factors of degree d are gcd(x^(q^d) - x, v) against the
 cofactor v, which divides f.  Products are exact Python ints packed by
 Kronecker substitution, reduced mod q once per output coefficient, and
 reduced mod f through f's nonzero coefficients only (three for the
-family's trinomials).  Results are memoized per (f, q) in a fixed-size
-cache, so the repeated scans of one chain factor each pair once.
+family's trinomials).  unramified_factor_degrees is the one walk over the
+primes: every scan of a polynomial's Frobenius types (irreducibility
+witnesses, the Jordan cycle, Chebotarev samples) reads it, so a chain
+factors each (f, q) once.
 
 Text format (parse_poly / format_poly): signed integer-coefficient
 expressions in one variable, e.g. ``x^10 - x^2 - 1``; arbitrary whitespace,
@@ -28,7 +30,6 @@ caret exponents, implicit coefficient 1.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ __all__ = [
     "disc_of_even_composite",
     "family_disc_pair",
     "reduce_and_factor_degrees",
+    "unramified_factor_degrees",
     "irreducible_over_Q",
     "Irreducible",
     "Reducible",
@@ -519,11 +521,6 @@ def is_square(n: int) -> bool:
 # factorization degrees over F_q (distinct-degree factorization)
 # ---------------------------------------------------------------------------
 
-# (f, q) pairs whose factor degrees are remembered; a chain asks for the same
-# pair several times (two irreducibility scans of u, then the Jordan scan)
-_FACTOR_DEGREES_MEMO = 4096
-
-
 def _fq_monic(a: list[int], q: int) -> list[int]:
     """a mod q, scaled to leading coefficient 1; [] when a is 0 mod q."""
     top = len(a) - 1
@@ -592,9 +589,7 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     further x^(q^d) = w(X) is one product of the coefficient vector w with
     that matrix.  Everything stays mod the original f; the factors of degree
     d are gcd(x^(q^d) - x, v) for the cofactor v of the factors found so
-    far, which is valid because v divides f.  The result for each (f, q) is
-    memoized, so a repeated scan of the same polynomial costs nothing;
-    invalid arguments raise on every call.
+    far, which is valid because v divides f.
     """
     if f.degree < 1:
         raise ValueError("factor degrees require a nonconstant polynomial")
@@ -602,12 +597,7 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
         raise ValueError(f"q must be prime, got {q}")
     if f.lc % q == 0:
         raise ValueError(f"q = {q} divides the leading coefficient")
-    return _factor_degrees(f.coeffs, q)
-
-
-@functools.lru_cache(maxsize=_FACTOR_DEGREES_MEMO)
-def _factor_degrees(coeffs: tuple[int, ...], q: int):
-    f = _fq_monic(list(coeffs), q)
+    f = _fq_monic(list(f.coeffs), q)
     if len(_fq_gcd(f, [i * c for i, c in enumerate(f)][1:], q)) > 1:
         return RAMIFIED
     n = len(f) - 1
@@ -655,6 +645,21 @@ def _factor_degrees(coeffs: tuple[int, ...], q: int):
     if len(v) > 1:
         degrees.append(len(v) - 1)
     return CycleType(degrees)
+
+
+def unramified_factor_degrees(f: IntPoly, disc: int):
+    """Yield (q, factor degrees of f mod q) over the unramified primes q.
+
+    disc is the discriminant of f, which must be nonzero.  The primes are
+    those dividing neither lc(f) nor disc, in increasing order, so f mod q is
+    squarefree of degree deg f and every yielded value is a CycleType.  The
+    stream is endless; callers stop it at their prime budget or sample count.
+    """
+    if disc == 0:
+        raise ValueError("a polynomial with a repeated factor has no unramified prime")
+    for q in primes():
+        if f.lc % q and disc % q:
+            yield q, reduce_and_factor_degrees(f, q)
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +735,9 @@ def irreducible_over_Q(f: IntPoly, prime_budget: int = 500):
     if disc == 0:
         g = poly_gcd(f, f.derivative())
         return Reducible(g)
-    for q in primes():
+    for q, ct in unramified_factor_degrees(f, disc):
         if q > prime_budget:
             break
-        if f.lc % q == 0 or disc % q == 0:
-            continue
-        ct = reduce_and_factor_degrees(f, q)
         if ct == CycleType([f.degree]):
             return Irreducible(witness=q)
     return Inconclusive()
@@ -761,6 +763,15 @@ def irreducible_composite_rule(u: IntPoly, prime_budget: int = 500):
     nonzero integer.  Returns Certified with the recorded premises, or
     NotApplicable naming the first failed premise.
     """
+    return _composite_rule(u, lambda: irreducible_over_Q(u, prime_budget))
+
+
+def _composite_rule(u: IntPoly, irreducibility):
+    """irreducible_composite_rule with u's irreducibility verdict supplied.
+
+    irreducibility() returns the verdict; it is called only once the shape
+    premises hold, so a caller that already holds a witness pays nothing.
+    """
     m = u.degree
     if m < 3 or m % 2 == 0:
         return NotApplicable(f"degree must be odd and >= 3, got {m}")
@@ -772,7 +783,7 @@ def irreducible_composite_rule(u: IntPoly, prime_budget: int = 500):
         return NotApplicable(f"coefficient of x must be -1, got {u.coeff(1)}")
     if u.coeff(0) == 0:
         return NotApplicable("constant term must be nonzero")
-    verdict = irreducible_over_Q(u, prime_budget)
+    verdict = irreducibility()
     if not isinstance(verdict, Irreducible):
         return NotApplicable("u was not certified irreducible over Q")
     premises = (

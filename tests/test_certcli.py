@@ -143,3 +143,11 @@ def test_cli_import_does_not_load_numpy():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert res.returncode == 0, res.stderr.decode()
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.json")
+    assert run(["verify", "--p", "5", "--r", "2", "--output", target]) == 3
+    assert run(["invariants", "--p", "3", "--r", "2", "--output", target]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"prymcert: error: cannot write {target}") == 2

@@ -1,5 +1,6 @@
 """Certificate engine: rules, sampling soundness, descent, replay."""
 
+import functools
 import json
 import os
 import random
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import prymcert
+from prymcert import intpoly
 from prymcert.galoiscert import (
     Containment,
+    _witness_walk,
     certify_prym,
     certify_wdm_over_Q,
     chebotarev_verdict,
@@ -22,8 +25,28 @@ from prymcert.galoiscert import (
     unramified_frobenius_samples,
     verify_replay,
 )
-from prymcert.intpoly import CycleType, compose_x2, parse_poly, trinomial
-from prymcert.signedperm import GroupDescriptor, SignedPerm, census, in_wdm, induced_cycle_type
+from prymcert.intpoly import (
+    RAMIFIED,
+    CycleType,
+    Irreducible,
+    compose_x2,
+    disc_of_even_composite,
+    discriminant,
+    irreducible_over_Q,
+    is_square,
+    parse_poly,
+    primes,
+    trinomial,
+)
+from prymcert.signedperm import (
+    GroupDescriptor,
+    IsSm,
+    SignedPerm,
+    census,
+    in_wdm,
+    induced_cycle_type,
+    sm_certificate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +327,91 @@ def test_frobenius_sampler_rejects_repeated_factor():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert res.returncode == 0, res.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
+# one prime walk per polynomial
+# ---------------------------------------------------------------------------
+
+
+def _separate_scans(u, budget):
+    """First irreducibility witness and first Jordan prime, each by its own loop."""
+    disc = discriminant(u)
+    witness = jordan = None
+    for q in primes():
+        if q > budget:
+            break
+        if u.lc % q == 0:
+            continue
+        ct = intpoly.reduce_and_factor_degrees(u, q)
+        if ct is RAMIFIED:
+            continue
+        if witness is None and ct == CycleType([u.degree]):
+            witness = q
+        if jordan is None and isinstance(
+            sm_certificate([ct], is_square(disc), True, u.degree), IsSm
+        ):
+            jordan = q
+        if witness and jordan:
+            break
+    return witness, jordan
+
+
+def test_witness_walk_matches_separate_scans(monkeypatch):
+    # the walk's bookkeeping is under test, not the kernel (checked against
+    # sympy elsewhere): every scan here shares one memo of the factor degrees
+    memo = functools.lru_cache(maxsize=None)(intpoly.reduce_and_factor_degrees)
+    monkeypatch.setattr(intpoly, "reduce_and_factor_degrees", memo)
+    members = [(m, 1) for m in range(9, 62, 2)] + [(9, 9), (11, 25)]
+    cut = [0, 0]  # budgets that cut off the irreducibility / the Jordan witness
+    for m, c in members:
+        u = trinomial(m, c)
+        disc = discriminant(u)
+        full = _separate_scans(u, 500)
+        # the default budget, then budgets that cut off each witness in turn
+        budgets = {500, 2} | {q - 1 for q in full if q is not None}
+        for budget in sorted(budgets):
+            witness, jordan = _witness_walk(u, disc, budget)
+            expected = _separate_scans(u, budget)
+            assert (witness, jordan and jordan[0]) == expected, (m, c, budget)
+            verdict = irreducible_over_Q(u, budget)
+            assert witness == (verdict.witness if isinstance(verdict, Irreducible) else None)
+            if jordan is not None:
+                sm = sm_certificate([memo(u, jordan[0])], False, True, m)
+                assert jordan[1] == sm
+            cut = [k + (q is None) for k, q in zip(cut, expected)]
+    assert _separate_scans(trinomial(9, 1), 3) == (2, None)
+    assert _separate_scans(trinomial(13, 1), 5) == (3, None)
+    assert min(cut) >= len(members)
+
+
+def test_chain_requests_each_factorization_once(monkeypatch):
+    original = intpoly.reduce_and_factor_degrees
+    requests = []
+
+    def counted(f, q):
+        requests.append((f.coeffs, q))
+        return original(f, q)
+
+    sites = [
+        (module, name)
+        for module_name, module in sorted(sys.modules.items())
+        if module_name == "prymcert" or module_name.startswith("prymcert.")
+        for name, value in vars(module).items()
+        if value is original
+    ]
+    assert (intpoly, "reduce_and_factor_degrees") in sites
+    for module, name in sites:
+        monkeypatch.setattr(module, name, counted)
+    for run in (lambda: certify_prym(3, 8), lambda: certify_wdm_over_Q(29, 1)):
+        requests.clear()
+        assert run().verdict == "Deterministic"
+        assert requests and len(set(requests)) == len(requests)
+
+
+def test_descent_disc_route_at_m29():
+    step = cyclotomic_descent(certify_wdm_over_Q(29, 1), 3, 10).steps[-1]
+    premises = {prem["fact"]: prem["value"] for prem in step.premises}
+    assert premises["disc route"] == "subresultant PRS, cross-checked against the closed form"
+    disc_h = discriminant(compose_x2(trinomial(29, 1)))
+    assert premises["disc(u(x^2))"] == disc_h == disc_of_even_composite(29, 1)

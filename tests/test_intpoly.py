@@ -32,6 +32,7 @@ from prymcert.intpoly import (
     resultant,
     trinomial,
     trinomial_disc,
+    unramified_factor_degrees,
 )
 
 
@@ -476,3 +477,18 @@ def test_cycle_type_container():
     assert len({CycleType([2, 4]), CycleType([4, 2])}) == 1
     with pytest.raises(ValueError):
         CycleType([0, 1])
+
+
+def test_unramified_factor_degrees_skips_ramified_primes():
+    for f in (parse_poly("3x^3 - x - 1"), parse_poly("x^6 - x^2 - 1"), trinomial(9, 1)):
+        disc = discriminant(f)
+        walk = list(itertools.islice(unramified_factor_degrees(f, disc), 25))
+        naive = [
+            (q, reduce_and_factor_degrees(f, q))
+            for q in itertools.islice(primes(), 60)
+            if f.lc % q and reduce_and_factor_degrees(f, q) is not RAMIFIED
+        ][:25]
+        assert walk == naive
+        assert all(f.lc % q and disc % q for q, _ in walk)
+    with pytest.raises(ValueError):
+        next(unramified_factor_degrees(parse_poly("x^4"), 0))
