@@ -37,16 +37,18 @@ from ._primes import is_prime
 from .intpoly import (
     Certified,
     CycleType,
+    Inconclusive,
     IntPoly,
     Irreducible,
+    Reducible,
     _composite_rule,
+    _rational_root_factor,
     compose_x2,
     condition_p_r,
     disc_of_even_composite,
     discriminant,
     format_poly,
     irreducible_composite_rule,
-    irreducible_over_Q,
     is_square,
     poly_gcd,
     trinomial,
@@ -139,10 +141,6 @@ class Certificate:
 
     def canonical(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.canonical())
 
 
 @dataclass
@@ -505,12 +503,14 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
 
     witness, jordan = _witness_walk(u, disc_u, prime_budget)
     if witness is None:
-        # the walk saw what irreducible_over_Q sees; it names Reducible or Inconclusive
+        # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0,
+        # so its verdict is Reducible(linear factor) or Inconclusive
+        linear = _rational_root_factor(u)
         return cert(
             steps,
             INCONCLUSIVE,
             {"failed_premise": "u is irreducible over Q",
-             "detail": repr(irreducible_over_Q(u, prime_budget))},
+             "detail": repr(Inconclusive() if linear is None else Reducible(linear))},
         )
     if is_square(disc_u):
         return cert(

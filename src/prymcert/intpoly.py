@@ -18,10 +18,20 @@ original f: the factors of degree d are gcd(x^(q^d) - x, v) against the
 cofactor v, which divides f.  Products are exact Python ints packed by
 Kronecker substitution, reduced mod q once per output coefficient, and
 reduced mod f through f's nonzero coefficients only (three for the
-family's trinomials).  unramified_factor_degrees is the one walk over the
-primes: every scan of a polynomial's Frobenius types (irreducibility
-witnesses, the Jordan cycle, Chebotarev samples) reads it, so a chain
-factors each (f, q) once.
+family's trinomials).
+
+An even f(x) = g(x^2) mod an odd q, such as the composite h = u(x^2) that
+Chebotarev sampling factors, is factored in F_q[y]/(g) with y = x^2, at half
+the degree.  A Frobenius cycle of length L on the roots of g either splits
+into two L-cycles on the roots of f or becomes one 2L-cycle, according to
+whether its root b is a square in F_(q^L), that is, the quadratic character
+of the norm of b to F_q.  The route computes exactly that sign,
+b^((q^d-1)/2) = 1, as gcd(y^((q^d-1)/2) - 1, V) against the cofactor V of g,
+so it is exact, with no equal-degree splitting and no randomness.
+
+unramified_factor_degrees is the one walk over the primes: every scan of a
+polynomial's Frobenius types (irreducibility witnesses, the Jordan cycle,
+Chebotarev samples) reads it, so a chain factors each (f, q) once.
 
 Text format (parse_poly / format_poly): signed integer-coefficient
 expressions in one variable, e.g. ``x^10 - x^2 - 1``; arbitrary whitespace,
@@ -590,6 +600,14 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     that matrix.  Everything stays mod the original f; the factors of degree
     d are gcd(x^(q^d) - x, v) for the cofactor v of the factors found so
     far, which is valid because v divides f.
+
+    An even f(x) = g(x^2) with q odd is factored at half its degree, in
+    F_q[y]/(g) with y = x^2.  It is squarefree iff g is and g(0) != 0; then
+    x does not divide the cofactor V(x^2), so gcd(x^(q^d) - x, V(x^2)) =
+    G(x^2) with G = gcd(y^((q^d-1)/2) - 1, V).  With A = y^((q-1)/2) and
+    Y = y A^2 = y^q, B_d = y^((q^d-1)/2) steps as B_(d+1) = B_d(Y) A, a
+    linear map whose rows are Y^i A; each root of G is a pair of roots of f
+    of degree d, so G accounts for 2 deg G / d factors.
     """
     if f.degree < 1:
         raise ValueError("factor degrees require a nonconstant polynomial")
@@ -598,6 +616,12 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     if f.lc % q == 0:
         raise ValueError(f"q = {q} divides the leading coefficient")
     f = _fq_monic(list(f.coeffs), q)
+    # y = x^s: s = 2 when f(x) = g(x^2) and q is odd, and then work mod g
+    s = 2 if q > 2 and not any(f[1::2]) else 1
+    if s == 2:
+        f = f[::2]
+        if not f[0]:
+            return RAMIFIED  # x^2 divides f
     if len(_fq_gcd(f, [i * c for i, c in enumerate(f)][1:], q)) > 1:
         return RAMIFIED
     n = len(f) - 1
@@ -618,32 +642,41 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     def mulmod(a_packed, b_packed):
         return reduce(_unpack(a_packed * b_packed, 2 * n - 1, bits))
 
-    x = reduce([0, 1])
-    X = x  # X = x^q mod f, left to right; "times x" is a shift and one reduction step
-    for bit in bin(q)[3:]:
+    y = reduce([0, 1])
+    X = y  # y^(q // s) mod f, left to right; "times y" is a shift and one reduction step
+    for bit in bin(q // s)[3:]:
         X_packed = _pack(X, bits)
         X = mulmod(X_packed, X_packed)
         if bit == "1":
             X = reduce([0] + X)
-    # the rows X^i mod f of the Berlekamp Q-matrix, packed: w(x)^q = w(X) = sum w_i X^i
+    if s == 1:
+        lift = reduce([1])
+    else:
+        lift = X  # A = y^((q-1)/2)
+        X_packed = _pack(X, bits)
+        X = reduce([0] + mulmod(X_packed, X_packed))  # Y = y A^2 = y^q
+    # the rows X^i lift mod f of the Berlekamp Q-matrix, packed: w -> w(X) lift
     X_packed = _pack(X, bits)
-    rows = [_pack(reduce([1]), bits)]
+    rows = [_pack(lift, bits)]
     while len(rows) < n:
         rows.append(_pack(mulmod(rows[-1], X_packed), bits))
 
     degrees: list[int] = []
     v = f  # the cofactor of the factors found so far; it divides f, so w stays mod f
-    w = x  # x^(q^d) mod f
+    w = y if s == 1 else reduce([1])  # x^(q^d), or B_d = y^((q^d-1)/2), mod f
+    k = 2 - s  # gcd against w - x, or B_d - 1
     d = 0
-    while len(v) - 1 >= 2 * (d + 1):
+    while s * (len(v) - 1) >= 2 * (d + 1):
         d += 1
         w = [c % q for c in _unpack(sum(c * r for c, r in zip(w, rows) if c), n, bits)]
-        g = _fq_gcd([w[0], w[1] - 1] + w[2:], v, q)
+        w[k] -= 1
+        g = _fq_gcd(w, v, q)
+        w[k] += 1
         if len(g) > 1:
-            degrees.extend([d] * ((len(g) - 1) // d))
+            degrees.extend([d] * (s * (len(g) - 1) // d))
             v = _fq_divexact(v, g, q)
     if len(v) > 1:
-        degrees.append(len(v) - 1)
+        degrees.append(s * (len(v) - 1))
     return CycleType(degrees)
 
 

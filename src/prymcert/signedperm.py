@@ -435,13 +435,33 @@ def _perm_is_even(s) -> bool:
     return (len(s) - len(_cycles_of(tuple(s)))) % 2 == 0
 
 
+def _partitions(m: int, largest: int | None = None):
+    """The partitions of m into parts of at most `largest`, as non-increasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _class_size(lens: tuple[int, ...]) -> int:
+    """Number of permutations of sum(lens) points with these cycle lengths: m!/z."""
+    z = 1
+    for L in set(lens):
+        a = lens.count(L)
+        z *= L**a * math.factorial(a)
+    return math.factorial(sum(lens)) // z
+
+
 def census(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> dict[CycleType, int]:
     """Exact count of every induced cycle type on the 2m nonzero labels.
 
     Exhaustive: the counts sum to the group order.  For the named kinds the
-    enumeration runs over (permutation, per-cycle sign product) pairs with
-    multiplicity 2^(m - #cycles) instead of over raw sign vectors, which cuts
-    the work by the full sign-group factor; the totals are unchanged.
+    enumeration runs over (cycle type of the permutation, per-cycle sign
+    product) pairs, each with the m!/z permutations of that cycle type and
+    the 2^(m - #cycles) sign vectors of those cycle signs, instead of over
+    raw elements; the totals are unchanged.
     """
     known = desc.order()
     if known is not None and known > budget:
@@ -455,11 +475,10 @@ def census(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> dict[Cyc
         counts[ct] = counts.get(ct, 0) + n
 
     if desc.kind in ("Sm", "Am"):
-        for s in itertools.permutations(range(m)):
-            if desc.kind == "Am" and not _perm_is_even(s):
+        for lens in _partitions(m):
+            if desc.kind == "Am" and (m - len(lens)) % 2:
                 continue
-            lens = [len(c) for c in _cycles_of(s)]
-            add(CycleType([v for L in lens for v in (L, L)]), 1)
+            add(CycleType([v for L in lens for v in (L, L)]), _class_size(lens))
         return counts
     if desc.kind in ("Em", "Em0"):
         for eps in itertools.product((1, -1), repeat=m):
@@ -472,10 +491,9 @@ def census(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> dict[Cyc
         return counts
     if desc.kind in ("WDm", "TwoM_Sm"):
         need_even = desc.kind == "WDm"
-        for s in itertools.permutations(range(m)):
-            lens = [len(c) for c in _cycles_of(s)]
+        for lens in _partitions(m):
             k = len(lens)
-            weight = 2 ** (m - k)
+            weight = 2 ** (m - k) * _class_size(lens)
             for sigma in itertools.product((1, -1), repeat=k):
                 if need_even and math.prod(sigma) != 1:
                     continue

@@ -415,3 +415,30 @@ def test_descent_disc_route_at_m29():
     assert premises["disc route"] == "subresultant PRS, cross-checked against the closed form"
     disc_h = discriminant(compose_x2(trinomial(29, 1)))
     assert premises["disc(u(x^2))"] == disc_h == disc_of_even_composite(29, 1)
+
+
+def test_failure_path_requests_each_factorization_once(monkeypatch):
+    original = intpoly.reduce_and_factor_degrees
+    requests = []
+
+    def counted(f, q):
+        requests.append((f.coeffs, q))
+        return original(f, q)
+
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name == "prymcert" or module_name.startswith("prymcert."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    # budgets below the first irreducibility witness (q = 7, 19, 269, 11), and
+    # (9, 1, 3), which has its witness q = 2 but no Jordan prime below 5
+    for m, c, budget in ((11, 1, 5), (19, 1, 17), (27, 1, 200), (11, 25, 7), (9, 1, 3)):
+        requests.clear()
+        cert = certify_wdm_over_Q(m, c, prime_budget=budget)
+        assert cert.verdict == "Inconclusive"
+        assert requests and len(set(requests)) == len(requests), (m, c, budget)
+        if m != 9:
+            # the detail is what irreducible_over_Q would have said
+            assert cert.verdict_detail["failed_premise"] == "u is irreducible over Q"
+            expected = repr(irreducible_over_Q(trinomial(m, c), budget))
+            assert cert.verdict_detail["detail"] == expected == "Inconclusive()"

@@ -492,3 +492,77 @@ def test_unramified_factor_degrees_skips_ramified_primes():
         assert all(f.lc % q and disc % q for q, _ in walk)
     with pytest.raises(ValueError):
         next(unramified_factor_degrees(parse_poly("x^4"), 0))
+
+
+# ---------------------------------------------------------------------------
+# even polynomials g(x^2): the half-degree route
+# ---------------------------------------------------------------------------
+
+
+def _even_corpus():
+    """Seeded g(x^2) with the cases the half-degree route must get right.
+
+    Monic and non-monic g, g with a repeated factor (RAMIFIED everywhere),
+    g(0) = 0 over Z, g(0) divisible by some of the primes only, and the
+    prime 2, which keeps the general route.
+    """
+    small_primes = list(itertools.islice(primes(), 30))
+    all_primes = small_primes + [17417, 65521]
+    rng = random.Random(61)
+    pairs = []
+    for _ in range(60):
+        g = _random_poly(rng, rng.randint(1, 8), monic=rng.random() < 0.5)
+        pairs.append((g, rng.sample(all_primes, 8) + [2, 3]))
+    for _ in range(10):
+        a, b = _random_poly(rng, rng.randint(1, 3)), _random_poly(rng, rng.randint(1, 4))
+        pairs.append((a * a * b, rng.sample(all_primes, 6) + [2]))
+    for _ in range(10):
+        g = IntPoly.x() * _random_poly(rng, rng.randint(1, 5))
+        pairs.append((g, rng.sample(all_primes, 6) + [2]))
+    for _ in range(10):
+        g = _random_poly(rng, rng.randint(1, 6))
+        g = g + IntPoly((3 * 5 * 7 - g.coeff(0),))  # g(0) = 105: x^2 | f mod 3, 5, 7 only
+        pairs.append((g, small_primes[:8]))
+    for m in (3, 5, 7, 9, 29):
+        pairs.append((trinomial(m, 1), small_primes))
+    return [(compose_x2(g), [q for q in qs if g.lc % q]) for g, qs in pairs]
+
+
+def test_even_factor_degrees_agree_with_sympy():
+    seen = {"ramified": 0, "split": 0, "q = 2": 0, "x^2 | f": 0}
+    for f, qs in _even_corpus():
+        assert f.degree % 2 == 0 and not any(f.coeffs[1::2])
+        for q in qs:
+            ct = reduce_and_factor_degrees(f, q)
+            expected = _sympy_factor_degrees(f, q)
+            assert ct == expected if expected is not RAMIFIED else ct is RAMIFIED, (f, q, ct)
+            seen["ramified"] += ct is RAMIFIED
+            seen["split"] += ct is not RAMIFIED and len(ct) > 1
+            seen["q = 2"] += q == 2
+            seen["x^2 | f"] += f.coeff(0) % q == 0
+    assert min(seen.values()) > 50, seen
+
+
+def _taylor_shift(f):
+    """f(x + 1): the same factor degrees mod every q, and not even."""
+    out = IntPoly.zero()
+    for c in reversed(f.coeffs):
+        out = out * parse_poly("x + 1") + IntPoly((c,))
+    return out
+
+
+def test_even_factor_degrees_agree_with_general_route_on_shift():
+    rng = random.Random(62)
+    polys = [compose_x2(trinomial(m, c)) for m, c in ((3, 1), (5, 1), (7, 1), (7, 9), (11, 1))]
+    polys += [compose_x2(_random_poly(rng, rng.randint(2, 9), monic=False)) for _ in range(15)]
+    qs = list(itertools.islice(primes(), 60)) + [17417]
+    unramified = 0
+    for f in polys:
+        shifted = _taylor_shift(f)
+        assert shifted.lc == f.lc and any(shifted.coeffs[1::2])
+        for q in qs:
+            if f.lc % q:
+                ct = reduce_and_factor_degrees(f, q)
+                assert ct == reduce_and_factor_degrees(shifted, q), (f, q)
+                unramified += ct is not RAMIFIED
+    assert unramified > 1000

@@ -272,3 +272,19 @@ def test_descriptor_serialization():
     assert GroupDescriptor.wdm(5).to_json() == {"kind": "WDm", "m": 5}
     doc = GroupDescriptor.generated([SignedPerm((1, 0), (1, -1))]).to_json()
     assert doc["kind"] == "Generated" and doc["gens"] == [{"s": [2, 1], "eps": [1, -1]}]
+
+
+def test_census_from_cycle_types_agrees_with_raw_enumeration():
+    # the census counts classes of permutations, never the elements
+    for desc in (
+        GroupDescriptor.wdm(5),
+        GroupDescriptor.wdm(6),
+        GroupDescriptor.perm0(4),
+        GroupDescriptor.symmetric(6),
+        GroupDescriptor.alternating(6),
+    ):
+        raw: dict[CycleType, int] = {}
+        for g in elements(desc):
+            ct = induced_cycle_type(g)
+            raw[ct] = raw.get(ct, 0) + 1
+        assert raw == census(desc), desc
