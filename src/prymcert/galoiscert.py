@@ -30,10 +30,10 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field
 from itertools import islice
 
 from ._primes import is_prime
+from ._record import Record
 from .intpoly import (
     Certified,
     CycleType,
@@ -95,13 +95,12 @@ class Containment(enum.Enum):
     NOT_CONCLUDED = "NotConcluded"
 
 
-@dataclass
-class RuleStep:
+class RuleStep(Record, frozen=False):
     """One rule application: checked premises with provenance, one conclusion."""
 
     rule: str
     conclusion: str
-    premises: list[dict] = field(default_factory=list)
+    premises: list[dict] = []
 
     def to_json(self) -> dict:
         return {
@@ -115,8 +114,7 @@ def _prem(fact: str, value) -> dict:
     return {"fact": fact, "value": value}
 
 
-@dataclass
-class Certificate:
+class Certificate(Record, frozen=False):
     """A sealed deduction chain with parameters, steps, verdict and claims."""
 
     params: dict
@@ -143,8 +141,7 @@ class Certificate:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-@dataclass
-class SamplingReport:
+class SamplingReport(Record, frozen=False):
     """Frobenius cycle-type sampling against an exact census.
 
     A refutation (some observed type impossible in the target group) is
@@ -311,7 +308,9 @@ def _class_table(observed, cens, n) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def even_containment(u: IntPoly, cyclotomic_p: int | None = None) -> Containment:
+def even_containment(
+    u: IntPoly, cyclotomic_p: int | None = None, disc: int | None = None
+) -> Containment:
     """Whether the Galois group of u(x^2) lies in the even-sign group W(D_m).
 
     For odd deg u the containment over the base field K holds iff -u(0) is a
@@ -319,14 +318,15 @@ def even_containment(u: IntPoly, cyclotomic_p: int | None = None) -> Containment
     Over Q(zeta_p) only the positive direction is modeled: a rational square
     is a square in every extension, so Contained; a non-square rational is
     conservatively reported NotConcluded (it could become a square in the
-    cyclotomic field) rather than guessed.
+    cyclotomic field) rather than guessed.  disc is disc(u) when the caller
+    already holds it; otherwise it is computed for the squarefree guard.
     """
     m = u.degree
     if m < 1 or m % 2 == 0:
         return Containment.INAPPLICABLE
     if u.coeff(0) == 0:
         raise ValueError("u(0) must be nonzero")
-    if discriminant(u) == 0:
+    if (discriminant(u) if disc is None else disc) == 0:
         raise ValueError("u must be squarefree")
     v = -u.coeff(0)
     if is_square(v):
@@ -365,9 +365,7 @@ def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
     m = u.degree
     want_jordan = not is_square(disc_u)
     witness = jordan = None
-    for q, ct in unramified_factor_degrees(u, disc_u):
-        if q > prime_budget:
-            break
+    for q, ct in unramified_factor_degrees(u, disc_u, prime_budget):
         if witness is None and ct == CycleType([m]):
             witness = q
         if jordan is None and want_jordan:
@@ -421,7 +419,7 @@ def certify_wdm_over_Q(
     if disc_u == 0:
         return cert(steps, INCONCLUSIVE, {"failed_premise": "u is squarefree"})
 
-    containment = even_containment(u)
+    containment = even_containment(u, disc=disc_u)
     steps.append(_containment_step(u, m, containment))
     if containment is Containment.NOT_CONTAINED:
         return cert(

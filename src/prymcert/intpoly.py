@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from ._primes import is_prime, primes
+from ._record import Record
 from .prymcalc import FamilyParams
 
 __all__ = [
@@ -261,8 +261,7 @@ class _RamifiedType:
 RAMIFIED = _RamifiedType()
 
 
-@dataclass(frozen=True)
-class DiscPair:
+class DiscPair(Record):
     """Discriminants of u and of u(x^2) for one member of the family."""
 
     delta_u: int
@@ -615,15 +614,20 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
         raise ValueError(f"q must be prime, got {q}")
     if f.lc % q == 0:
         raise ValueError(f"q = {q} divides the leading coefficient")
-    f = _fq_monic(list(f.coeffs), q)
     # y = x^s: s = 2 when f(x) = g(x^2) and q is odd, and then work mod g
-    s = 2 if q > 2 and not any(f[1::2]) else 1
-    if s == 2:
-        f = f[::2]
-        if not f[0]:
-            return RAMIFIED  # x^2 divides f
-    if len(_fq_gcd(f, [i * c for i, c in enumerate(f)][1:], q)) > 1:
+    s = 2 if q > 2 and not any(f.coeffs[1::2]) else 1
+    g = _fq_monic(f.coeffs[::s], q)
+    if (s == 2 and not g[0]) or len(_fq_gcd(g, [i * c for i, c in enumerate(g)][1:], q)) > 1:
         return RAMIFIED
+    return _factor_degrees(g, q, s)
+
+
+def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
+    """The kernel of reduce_and_factor_degrees, without its checks.
+
+    Factor degrees of F(x) = f(x^s) mod q, for f a list of residues mod q,
+    monic and squarefree, with f(0) != 0 when s = 2 (so q is odd).
+    """
     n = len(f) - 1
     tail = [(k, c) for k, c in enumerate(f[:n]) if c]  # f's nonzero lower terms
     # a slot holds a sum of at most n products of residues
@@ -680,19 +684,25 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     return CycleType(degrees)
 
 
-def unramified_factor_degrees(f: IntPoly, disc: int):
+def unramified_factor_degrees(f: IntPoly, disc: int, prime_budget: int | None = None):
     """Yield (q, factor degrees of f mod q) over the unramified primes q.
 
     disc is the discriminant of f, which must be nonzero.  The primes are
     those dividing neither lc(f) nor disc, in increasing order, so f mod q is
-    squarefree of degree deg f and every yielded value is a CycleType.  The
-    stream is endless; callers stop it at their prime budget or sample count.
+    squarefree of degree deg f and every yielded value is a CycleType; the
+    kernel runs without reduce_and_factor_degrees's checks, which these
+    primes pass.  The stream ends after the last prime <= prime_budget, or
+    never when there is no budget.
     """
     if disc == 0:
         raise ValueError("a polynomial with a repeated factor has no unramified prime")
+    even = not any(f.coeffs[1::2])  # f(x) = g(x^2), factored at half the degree mod odd q
     for q in primes():
+        if prime_budget is not None and q > prime_budget:
+            return
         if f.lc % q and disc % q:
-            yield q, reduce_and_factor_degrees(f, q)
+            s = 2 if even and q > 2 else 1
+            yield q, _factor_degrees(_fq_monic(f.coeffs[::s], q), q, s)
 
 
 # ---------------------------------------------------------------------------
@@ -700,22 +710,19 @@ def unramified_factor_degrees(f: IntPoly, disc: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Irreducible:
+class Irreducible(Record):
     """Certified irreducible: f mod witness is irreducible over F_witness."""
 
     witness: int
 
 
-@dataclass(frozen=True)
-class Reducible:
+class Reducible(Record):
     """A genuine nonconstant proper factor was found."""
 
     factor: IntPoly
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     """No witness prime within budget and no factor found; no verdict."""
 
 
@@ -768,23 +775,19 @@ def irreducible_over_Q(f: IntPoly, prime_budget: int = 500):
     if disc == 0:
         g = poly_gcd(f, f.derivative())
         return Reducible(g)
-    for q, ct in unramified_factor_degrees(f, disc):
-        if q > prime_budget:
-            break
+    for q, ct in unramified_factor_degrees(f, disc, prime_budget):
         if ct == CycleType([f.degree]):
             return Irreducible(witness=q)
     return Inconclusive()
 
 
-@dataclass(frozen=True)
-class Certified:
+class Certified(Record):
     """All premises of the even-composite irreducibility rule hold."""
 
     premises: tuple[tuple[str, object], ...]
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(Record):
     failed: str
 
 
@@ -835,8 +838,7 @@ def _composite_rule(u: IntPoly, irreducibility):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionPR:
+class ConditionPR(Record):
     """Result of the (1 + 2^(r-2)) mod p test with its shortcut flags."""
 
     p: int

@@ -10,20 +10,18 @@ module enumerates that basis, tabulates the eigenvalue multiplicities on the
 anti-invariant part (rj for even j, rj - 1 for odd j), and evaluates the
 gcd/distinctness/inequality facts consumed by the certificate engine.
 
-All comparisons are exact: integers and fractions.Fraction only, never floats.
+All comparisons are exact: integers only, never floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from ._primes import is_prime
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Parameter tuple (p, r, c) with derived m = pr - 1 and n = 2m + 1."""
 
     p: int
@@ -50,8 +48,7 @@ class FamilyParams:
         return {"p": self.p, "r": self.r, "m": self.m, "n": self.n, "c": self.c}
 
 
-@dataclass(frozen=True)
-class BasisForm:
+class BasisForm(Record):
     """The differential x^i dx/y^j together with its eigenvalue data."""
 
     i: int
@@ -68,8 +65,7 @@ class BasisForm:
         return -1 if (self.i + 1 - self.j) % 2 else 1
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Multiplicity of the eigenvalue zeta_p^(-j) on the anti-invariant forms."""
 
     p: int
@@ -152,9 +148,10 @@ def multiplicities_distinct(p: int, r: int) -> bool:
 def non_jacobian_inequality(p: int, r: int) -> bool:
     """Exact check of r - 1 < (1/p)(2 dim Prym / (p-1)) - (p-2)/p.
 
-    Algebraically this reduces to 0 < 1/p, so it holds for every valid (p, r);
-    it is still evaluated per instance because it is a leaf of the certificate.
+    Both sides are multiplied by p(p-1) > 0, so the test is on integers:
+    (r-1) p(p-1) < 2 dim Prym - (p-2)(p-1).  Algebraically this reduces to
+    0 < 1/p, so it holds for every valid (p, r); it is still evaluated per
+    instance because it is a leaf of the certificate.
     """
     d = dim_prym(p, p * r - 1)
-    rhs = Fraction(2 * d, p * (p - 1)) - Fraction(p - 2, p)
-    return Fraction(r - 1) < rhs
+    return (r - 1) * p * (p - 1) < 2 * d - (p - 2) * (p - 1)

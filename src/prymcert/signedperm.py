@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from ._primes import is_prime
+from ._record import Record
 from .intpoly import CycleType
 
 # census / element-enumeration budget: group order at most 2^7 * 8!
@@ -226,8 +226,7 @@ def cycle_type_from_label_action(g: SignedPerm) -> CycleType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledRoots:
+class LabeledRoots(Record):
     """The label set R_f (2m+1 points), R_h (2m) or R_u (m points)."""
 
     m: int
@@ -268,8 +267,7 @@ def roots_u(m: int) -> LabeledRoots:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """A named group of signed permutations, or one given by generators.
 
     kinds: "Sm" (all permutations, trivial signs), "Am" (even ones), "Em"
@@ -280,7 +278,7 @@ class GroupDescriptor:
 
     kind: str
     m: int
-    gens: tuple[SignedPerm, ...] = field(default=())
+    gens: tuple[SignedPerm, ...] = ()
 
     @classmethod
     def symmetric(cls, m: int) -> GroupDescriptor:
@@ -631,16 +629,14 @@ def sm_normal_index_condition(m: int) -> bool:
     return m % 2 == 1
 
 
-@dataclass(frozen=True)
-class IsSm:
+class IsSm(Record):
     """Certified: the Galois group is all of S_m (sound, never a guess)."""
 
     cycle_length: int
     witness_type: CycleType
 
 
-@dataclass(frozen=True)
-class SmInconclusive:
+class SmInconclusive(Record):
     reason: str
 
 

@@ -145,6 +145,17 @@ def test_cli_import_does_not_load_numpy():
     assert res.returncode == 0, res.stderr.decode()
 
 
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # these modules cost start-up time on every CLI run and the program needs none
+    unwanted = ("dataclasses", "inspect", "fractions", "decimal")
+    code = f"import sys, prymcert.certcli; print(sorted(set({unwanted!r}) & set(sys.modules)))"
+    src = str(Path(prymcert.__file__).resolve().parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode().strip() == "[]"
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     target = str(tmp_path / "missing" / "x.json")
     assert run(["verify", "--p", "5", "--r", "2", "--output", target]) == 3

@@ -362,6 +362,9 @@ def test_witness_walk_matches_separate_scans(monkeypatch):
     # sympy elsewhere): every scan here shares one memo of the factor degrees
     memo = functools.lru_cache(maxsize=None)(intpoly.reduce_and_factor_degrees)
     monkeypatch.setattr(intpoly, "reduce_and_factor_degrees", memo)
+    original = intpoly._factor_degrees
+    kernel = functools.lru_cache(maxsize=None)(lambda f, q, s: original(list(f), q, s))
+    monkeypatch.setattr(intpoly, "_factor_degrees", lambda f, q, s: kernel(tuple(f), q, s))
     members = [(m, 1) for m in range(9, 62, 2)] + [(9, 9), (11, 25)]
     cut = [0, 0]  # budgets that cut off the irreducibility / the Jordan witness
     for m, c in members:
@@ -385,24 +388,34 @@ def test_witness_walk_matches_separate_scans(monkeypatch):
     assert min(cut) >= len(members)
 
 
-def test_chain_requests_each_factorization_once(monkeypatch):
-    original = intpoly.reduce_and_factor_degrees
+def _log_factorizations(monkeypatch):
+    """The list of (f, q, s) that the factor-degree kernel is asked for.
+
+    Every factorization, by reduce_and_factor_degrees or by the prime walk,
+    runs the one kernel, so the log sees them all.
+    """
+    original = intpoly._factor_degrees
     requests = []
 
-    def counted(f, q):
-        requests.append((f.coeffs, q))
-        return original(f, q)
+    def counted(f, q, s):
+        requests.append((tuple(f), q, s))
+        return original(f, q, s)
 
     sites = [
         (module, name)
         for module_name, module in sorted(sys.modules.items())
         if module_name == "prymcert" or module_name.startswith("prymcert.")
-        for name, value in vars(module).items()
+        for name, value in list(vars(module).items())
         if value is original
     ]
-    assert (intpoly, "reduce_and_factor_degrees") in sites
+    assert (intpoly, "_factor_degrees") in sites
     for module, name in sites:
         monkeypatch.setattr(module, name, counted)
+    return requests
+
+
+def test_chain_requests_each_factorization_once(monkeypatch):
+    requests = _log_factorizations(monkeypatch)
     for run in (lambda: certify_prym(3, 8), lambda: certify_wdm_over_Q(29, 1)):
         requests.clear()
         assert run().verdict == "Deterministic"
@@ -418,18 +431,7 @@ def test_descent_disc_route_at_m29():
 
 
 def test_failure_path_requests_each_factorization_once(monkeypatch):
-    original = intpoly.reduce_and_factor_degrees
-    requests = []
-
-    def counted(f, q):
-        requests.append((f.coeffs, q))
-        return original(f, q)
-
-    for module_name, module in sorted(sys.modules.items()):
-        if module_name == "prymcert" or module_name.startswith("prymcert."):
-            for name, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, name, counted)
+    requests = _log_factorizations(monkeypatch)
     # budgets below the first irreducibility witness (q = 7, 19, 269, 11), and
     # (9, 1, 3), which has its witness q = 2 but no Jordan prime below 5
     for m, c, budget in ((11, 1, 5), (19, 1, 17), (27, 1, 200), (11, 25, 7), (9, 1, 3)):
@@ -442,3 +444,5 @@ def test_failure_path_requests_each_factorization_once(monkeypatch):
             assert cert.verdict_detail["failed_premise"] == "u is irreducible over Q"
             expected = repr(irreducible_over_Q(trinomial(m, c), budget))
             assert cert.verdict_detail["detail"] == expected == "Inconclusive()"
+        # no walk factors a prime past the budget, not even the first one
+        assert max(q for _, q, _ in requests) <= budget, (m, c, budget)

@@ -136,3 +136,16 @@ def test_non_jacobian_inequality():
     assert non_jacobian_inequality(13, 2)
     for p, r in GRID:
         assert non_jacobian_inequality(p, r)
+
+
+def test_non_jacobian_inequality_matches_rational_oracle():
+    from fractions import Fraction
+
+    # p = 2 is outside the family but is where the inequality fails, so both
+    # outcomes are compared
+    for p in (2, 3, 5, 7, 11, 13, 31):
+        for r in range(2, 41):
+            d = dim_prym(p, p * r - 1)
+            rhs = Fraction(2 * d, p * (p - 1)) - Fraction(p - 2, p)
+            assert non_jacobian_inequality(p, r) == (Fraction(r - 1) < rhs), (p, r)
+    assert not non_jacobian_inequality(2, 5)
