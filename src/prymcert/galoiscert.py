@@ -43,12 +43,12 @@ from .intpoly import (
     Reducible,
     _composite_rule,
     _rational_root_factor,
+    _validate_odd,
     compose_x2,
     condition_p_r,
     disc_of_even_composite,
     discriminant,
     format_poly,
-    irreducible_composite_rule,
     is_square,
     poly_gcd,
     trinomial,
@@ -251,41 +251,33 @@ def chebotarev_verdict(
 
     observed: dict[CycleType, int] = {}
     qs: list[int] = []
+    refuting_prime = refuting_type = None
     for q, ct in stream:
         qs.append(q)
         if ct not in support:
-            return SamplingReport(
-                target=tj,
-                group_order=order,
-                samples=len(qs),
-                seed=seed,
-                consistent=False,
-                refuting_prime=q,
-                refuting_type=list(ct),
-                classes=_class_table(observed, cens, len(qs) - 1),
-                chi_square=None,
-                dof=None,
-                prime_range=[qs[0], qs[-1]],
-            )
+            refuting_prime, refuting_type = q, list(ct)
+            break
         observed[ct] = observed.get(ct, 0) + 1
 
-    n = len(qs)
-    chi = 0.0
-    for ct, cnt in cens.items():
-        expected = n * cnt / order
-        obs = observed.get(ct, 0)
-        chi += (obs - expected) ** 2 / expected
+    n = sum(observed.values())  # the samples before any refuting one
+    chi = dof = None
+    if refuting_prime is None:
+        chi = 0.0
+        for ct, cnt in cens.items():
+            expected = n * cnt / order
+            chi += (observed.get(ct, 0) - expected) ** 2 / expected
+        chi, dof = round(chi, 6), len(cens) - 1
     return SamplingReport(
         target=tj,
         group_order=order,
-        samples=n,
+        samples=len(qs),
         seed=seed,
-        consistent=True,
-        refuting_prime=None,
-        refuting_type=None,
+        consistent=refuting_prime is None,
+        refuting_prime=refuting_prime,
+        refuting_type=refuting_type,
         classes=_class_table(observed, cens, n),
-        chi_square=round(chi, 6),
-        dof=len(cens) - 1,
+        chi_square=chi,
+        dof=dof,
         prime_range=[qs[0], qs[-1]],
     )
 
@@ -359,11 +351,12 @@ def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
     u irreducible mod q and the first q whose cycle type has a prime cycle
     certifying S_m by Jordan, each None when the budget runs out first.  The
     Jordan search assumes u irreducible, so its verdict counts only together
-    with the irreducibility witness; it is skipped when disc(u) is a square,
-    where no cycle type certifies S_m.
+    with the irreducibility witness.  It is skipped where no cycle type
+    certifies S_m: when disc(u) is a square or no prime lies in (m/2, m - 2),
+    as for every m <= 7, whose walk ends at the irreducibility witness.
     """
     m = u.degree
-    want_jordan = not is_square(disc_u)
+    want_jordan = not is_square(disc_u) and any(map(is_prime, range(m // 2 + 1, m - 2)))
     witness = jordan = None
     for q, ct in unramified_factor_degrees(u, disc_u, prime_budget):
         if witness is None and ct == CycleType([m]):
@@ -375,6 +368,21 @@ def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
         if witness is not None and (jordan is not None or not want_jordan):
             break
     return witness, jordan
+
+
+def _irred_x2_step(u: IntPoly, witness: int | None):
+    """The IrredX2 step for u(x^2) from u's irreducibility witness prime (or
+    None), else the composite rule's NotApplicable naming the failed premise."""
+    composite = _composite_rule(
+        u, lambda: Inconclusive() if witness is None else Irreducible(witness)
+    )
+    if not isinstance(composite, Certified):
+        return composite
+    return RuleStep(
+        rule="IrredX2",
+        conclusion=f"{format_poly(compose_x2(u))} is irreducible over Q",
+        premises=[_prem(fact, value) for fact, value in composite.premises],
+    )
 
 
 def certify_wdm_over_Q(
@@ -394,10 +402,7 @@ def certify_wdm_over_Q(
     verdict is at best Probabilistic.  Failed premises are named; the
     containment test can refute the claim outright.
     """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"m must be odd and >= 3, got {m}")
-    if c == 0 or c % 2 == 0:
-        raise ValueError(f"c must be odd and nonzero, got {c}")
+    _validate_odd(m, c)
     u = trinomial(m, c)
     h = compose_x2(u)
     claim = f"Gal({format_poly(h)} / Q) = W(D_{m})"
@@ -436,15 +441,9 @@ def certify_wdm_over_Q(
         return _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim)
 
     # m in {3, 5, 7}: sampling fallback
-    composite = irreducible_composite_rule(u, prime_budget)
-    if isinstance(composite, Certified):
-        steps.append(
-            RuleStep(
-                rule="IrredX2",
-                conclusion=f"{format_poly(h)} is irreducible over Q",
-                premises=[_prem(fact, value) for fact, value in composite.premises],
-            )
-        )
+    irred_x2 = _irred_x2_step(u, _witness_walk(u, disc_u, prime_budget)[0])
+    if isinstance(irred_x2, RuleStep):
+        steps.append(irred_x2)
     report = chebotarev_verdict(h, GroupDescriptor.wdm(m), samples, seed)
     if not report.consistent:
         steps.append(
@@ -540,22 +539,15 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
             ],
         ),
     )
-    composite = _composite_rule(u, lambda: Irreducible(witness))
-    if not isinstance(composite, Certified):
+    irred_x2 = _irred_x2_step(u, witness)
+    if not isinstance(irred_x2, RuleStep):
         return cert(
             steps,
             INCONCLUSIVE,
             {"failed_premise": "the composite irreducibility rule applies",
-             "detail": composite.failed},
+             "detail": irred_x2.failed},
         )
-    steps.insert(
-        1,
-        RuleStep(
-            rule="IrredX2",
-            conclusion=f"{format_poly(compose_x2(u))} is irreducible over Q",
-            premises=[_prem(fact, value) for fact, value in composite.premises],
-        ),
-    )
+    steps.insert(1, irred_x2)
     steps.append(
         RuleStep(
             rule="IrredDelta",

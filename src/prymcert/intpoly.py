@@ -848,16 +848,6 @@ class ConditionPR(Record):
     shortcut_r_mod: bool  # r = 2 (mod p-1)
     shortcut_small: bool  # 2^(r-2) < p-1
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "residue": self.residue,
-            "passed": self.passed,
-            "shortcut_r_mod": self.shortcut_r_mod,
-            "shortcut_small": self.shortcut_small,
-        }
-
 
 def condition_p_r(p: int, r: int) -> ConditionPR:
     """Whether p does not divide 1 + 2^(r-2), with the two shortcut criteria.

@@ -8,10 +8,11 @@ sign forgetting projection kappa (eps, s) -> s is the sign group E_m = 2^m,
 and the elements with sign product +1 form the index-2 subgroup W(D_m) of
 order 2^(m-1) m!.
 
-Groups are handled as descriptors plus generator sets.  Orbits and
-transitivity use generator closure only; full element enumeration happens
-solely under an explicit budget (census), and one-point stabilizers come
-from Schreier generators, so no strong-generating-set machinery is needed.
+Groups are handled as descriptors plus generator sets.  Orbits,
+transitivity and element lists (under an explicit budget) come from
+generator closure; the census of a named kind counts classes and lists no
+element; one-point stabilizers come from Schreier generators, so no
+strong-generating-set machinery is needed.
 
 Cycle types serialize as sorted integer lists, e.g. [2, 4]; descriptors as
 {"kind": "WDm", "m": 5}.
@@ -30,8 +31,12 @@ from .intpoly import CycleType
 DEFAULT_ENUM_BUDGET = 2**7 * math.factorial(8)
 
 
-class EnumerationBudgetError(RuntimeError):
-    """Raised when a group is too large to enumerate; callers fall back to sampling."""
+class EnumerationBudgetError(ValueError):
+    """Raised when a group's order exceeds the budget of elements or census.
+
+    A ValueError, so a command that asks for such a census (sampling at large
+    m) is refused as bad input before any prime is factored.
+    """
 
 
 class SignedPerm:
@@ -186,21 +191,22 @@ def _cycles_of(s: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
-def induced_cycle_type(g: SignedPerm) -> CycleType:
-    """Cycle type of the action on the 2m nonzero labels.
+def _label_cycles(length: int, sign: int) -> tuple[int, ...]:
+    """The label cycles over one cycle of s of this length and sign product.
 
-    A cycle of s of length L contributes {L, L} when the product of signs
-    along it is +1 (the + and - tracks stay separate) and {2L} when it is -1
-    (the tracks merge).
+    {L, L} when the product of signs along it is +1 (the + and - tracks stay
+    separate) and {2L} when it is -1 (the tracks merge).
     """
-    lengths = []
-    for cyc in _cycles_of(g.s):
-        prod = math.prod(g.eps[i] for i in cyc)
-        if prod == 1:
-            lengths.extend((len(cyc), len(cyc)))
-        else:
-            lengths.append(2 * len(cyc))
-    return CycleType(lengths)
+    return (length, length) if sign == 1 else (2 * length,)
+
+
+def induced_cycle_type(g: SignedPerm) -> CycleType:
+    """Cycle type of the action on the 2m nonzero labels."""
+    return CycleType([
+        n
+        for cyc in _cycles_of(g.s)
+        for n in _label_cycles(len(cyc), math.prod(g.eps[i] for i in cyc))
+    ])
 
 
 def cycle_type_from_label_action(g: SignedPerm) -> CycleType:
@@ -266,14 +272,26 @@ def roots_u(m: int) -> LabeledRoots:
 # group descriptors
 # ---------------------------------------------------------------------------
 
+# The named kinds, each as (permutations of the base points, sign vectors):
+# the permutations are "all", "even" or "identity", the sign vectors "none"
+# (all +1), "all" or "even" (product +1).  order() and census() read this
+# table; generators() describes the same groups by hand, and elements()
+# closes those generators, so each description is a check on the other.
+_KINDS = {
+    "Sm": ("all", "none"),
+    "Am": ("even", "none"),
+    "Em": ("identity", "all"),
+    "Em0": ("identity", "even"),
+    "WDm": ("all", "even"),
+    "TwoM_Sm": ("all", "all"),
+}
+
 
 class GroupDescriptor(Record):
     """A named group of signed permutations, or one given by generators.
 
-    kinds: "Sm" (all permutations, trivial signs), "Am" (even ones), "Em"
-    (all sign vectors, identity permutation), "Em0" (even sign vectors),
-    "WDm" (sign product +1), "TwoM_Sm" (all of 2^m.S_m), "TwoM_G"
-    (2^m.<base gens>), "Generated" (explicit generators).
+    The named kinds are the keys of _KINDS; "TwoM_G" is 2^m.<base gens> and
+    "Generated" the group of explicit generators.
     """
 
     kind: str
@@ -346,8 +364,9 @@ class GroupDescriptor(Record):
                 for i in range(1, m)
             )
         if self.kind == "WDm":
-            pair = SignedPerm.sign_flip(m, 1) * SignedPerm.sign_flip(m, 2)
-            return tuple(GroupDescriptor.symmetric(m).generators()) + (pair,)
+            # S_m and one sign pair, which the trivial group W(D_1) lacks
+            pair = (SignedPerm.sign_flip(m, 1) * SignedPerm.sign_flip(m, 2),) if m > 1 else ()
+            return GroupDescriptor.symmetric(m).generators() + pair
         if self.kind == "TwoM_Sm":
             return tuple(GroupDescriptor.symmetric(m).generators()) + (
                 SignedPerm.sign_flip(m, 1),
@@ -359,16 +378,17 @@ class GroupDescriptor(Record):
         return self.gens
 
     def order(self) -> int | None:
-        """Group order by formula for the named kinds, None otherwise."""
+        """Group order from the kind table for the named kinds, None otherwise."""
+        if self.kind not in _KINDS:
+            return None
+        perms, signs = _KINDS[self.kind]
         m = self.m
-        return {
-            "Sm": math.factorial(m),
-            "Am": math.factorial(m) // 2 if m >= 2 else 1,
-            "Em": 2**m,
-            "Em0": 2 ** (m - 1),
-            "WDm": 2 ** (m - 1) * math.factorial(m),
-            "TwoM_Sm": 2**m * math.factorial(m),
-        }.get(self.kind)
+        n_perms = {
+            "all": math.factorial(m),
+            "even": math.factorial(m) // 2 if m >= 2 else 1,
+            "identity": 1,
+        }[perms]
+        return n_perms * {"none": 1, "all": 2**m, "even": 2 ** (m - 1)}[signs]
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "m": self.m}
@@ -377,60 +397,48 @@ class GroupDescriptor(Record):
         return doc
 
 
-def elements(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> list[SignedPerm]:
-    """All elements, by direct product structure for the named kinds and by
-    generator closure otherwise; refuses beyond the budget."""
+def _check_budget(desc: GroupDescriptor, budget: int) -> None:
     known = desc.order()
     if known is not None and known > budget:
         raise EnumerationBudgetError(
             f"group of order {known} exceeds enumeration budget {budget}"
         )
-    m = desc.m
-    if desc.kind in ("Sm", "Am"):
-        parity_all = desc.kind == "Sm"
-        out = []
-        for s in itertools.permutations(range(m)):
-            if parity_all or _perm_is_even(s):
-                out.append(SignedPerm(s, (1,) * m))
-        return out
-    if desc.kind in ("Em", "Em0"):
-        ident = tuple(range(m))
-        out = []
-        for eps in itertools.product((1, -1), repeat=m):
-            if desc.kind == "Em" or math.prod(eps) == 1:
-                out.append(SignedPerm(ident, eps))
-        return out
-    if desc.kind in ("WDm", "TwoM_Sm"):
-        need_even = desc.kind == "WDm"
-        out = []
-        for s in itertools.permutations(range(m)):
-            for eps in itertools.product((1, -1), repeat=m):
-                if not need_even or math.prod(eps) == 1:
-                    out.append(SignedPerm(s, eps))
-        return out
-    # generator closure
-    gens = desc.generators()
-    ident = SignedPerm.identity(m)
-    seen = {ident}
-    frontier = [ident]
+
+
+def _closure(start, images, budget: int | None = None) -> set:
+    """Everything reachable from start by repeated images(x), breadth first.
+
+    With a budget, raises EnumerationBudgetError instead of reaching more
+    than `budget` points.
+    """
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for g in frontier:
-            for gen in gens:
-                h = gen * g
-                if h not in seen:
-                    if len(seen) >= budget:
+        for x in frontier:
+            for y in images(x):
+                if y not in seen:
+                    if budget is not None and len(seen) >= budget:
                         raise EnumerationBudgetError(
                             f"generated group exceeds enumeration budget {budget}"
                         )
-                    seen.add(h)
-                    nxt.append(h)
+                    seen.add(y)
+                    nxt.append(y)
         frontier = nxt
-    return sorted(seen, key=lambda g: (g.s, g.eps))
+    return seen
 
 
-def _perm_is_even(s) -> bool:
-    return (len(s) - len(_cycles_of(tuple(s)))) % 2 == 0
+def elements(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> list[SignedPerm]:
+    """All elements by generator closure, sorted by (s, eps).
+
+    Refuses beyond the budget: a named kind by its order before any element
+    is built, any other group once the closure outgrows it.  It shares no
+    logic with census, which makes it census's raw-enumeration oracle.
+    """
+    _check_budget(desc, budget)
+    gens = desc.generators()
+    group = _closure(SignedPerm.identity(desc.m), lambda g: [gen * g for gen in gens], budget)
+    return sorted(group, key=lambda g: (g.s, g.eps))
 
 
 def _partitions(m: int, largest: int | None = None):
@@ -455,56 +463,34 @@ def _class_size(lens: tuple[int, ...]) -> int:
 def census(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> dict[CycleType, int]:
     """Exact count of every induced cycle type on the 2m nonzero labels.
 
-    Exhaustive: the counts sum to the group order.  For the named kinds the
-    enumeration runs over (cycle type of the permutation, per-cycle sign
-    product) pairs, each with the m!/z permutations of that cycle type and
-    the 2^(m - #cycles) sign vectors of those cycle signs, instead of over
-    raw elements; the totals are unchanged.
+    Exhaustive: the counts sum to the group order.  A named kind is counted
+    by classes, never by elements, in one pass over the permutation cycle
+    types that its permutation part admits and the per-cycle sign products
+    that its sign part admits.  Each pair stands for the m!/z permutations
+    of that cycle type times the 2^(m - #cycles) sign vectors with those
+    cycle products (one vector when every sign is +1).  Any other group is
+    counted over elements(), under the same budget.
     """
-    known = desc.order()
-    if known is not None and known > budget:
-        raise EnumerationBudgetError(
-            f"group of order {known} exceeds enumeration budget {budget}"
-        )
-    m = desc.m
+    _check_budget(desc, budget)
     counts: dict[CycleType, int] = {}
-
-    def add(ct: CycleType, n: int) -> None:
-        counts[ct] = counts.get(ct, 0) + n
-
-    if desc.kind in ("Sm", "Am"):
-        for lens in _partitions(m):
-            if desc.kind == "Am" and (m - len(lens)) % 2:
+    if desc.kind not in _KINDS:
+        for g in elements(desc, budget):
+            ct = induced_cycle_type(g)
+            counts[ct] = counts.get(ct, 0) + 1
+        return counts
+    perms, signs = _KINDS[desc.kind]
+    m = desc.m
+    for lens in _partitions(m):
+        k = len(lens)
+        if (perms == "identity" and k < m) or (perms == "even" and (m - k) % 2):
+            continue
+        sigmas = [(1,) * k] if signs == "none" else itertools.product((1, -1), repeat=k)
+        weight = _class_size(lens) * (1 if signs == "none" else 2 ** (m - k))
+        for sigma in sigmas:
+            if signs == "even" and math.prod(sigma) != 1:
                 continue
-            add(CycleType([v for L in lens for v in (L, L)]), _class_size(lens))
-        return counts
-    if desc.kind in ("Em", "Em0"):
-        for eps in itertools.product((1, -1), repeat=m):
-            if desc.kind == "Em0" and math.prod(eps) != 1:
-                continue
-            type_lens = []
-            for e in eps:
-                type_lens.extend((1, 1) if e == 1 else (2,))
-            add(CycleType(type_lens), 1)
-        return counts
-    if desc.kind in ("WDm", "TwoM_Sm"):
-        need_even = desc.kind == "WDm"
-        for lens in _partitions(m):
-            k = len(lens)
-            weight = 2 ** (m - k) * _class_size(lens)
-            for sigma in itertools.product((1, -1), repeat=k):
-                if need_even and math.prod(sigma) != 1:
-                    continue
-                type_lens = []
-                for L, sg in zip(lens, sigma):
-                    if sg == 1:
-                        type_lens.extend((L, L))
-                    else:
-                        type_lens.append(2 * L)
-                add(CycleType(type_lens), weight)
-        return counts
-    for g in elements(desc, budget):
-        add(induced_cycle_type(g), 1)
+            ct = CycleType([n for L, sg in zip(lens, sigma) for n in _label_cycles(L, sg)])
+            counts[ct] = counts.get(ct, 0) + weight
     return counts
 
 
@@ -522,23 +508,12 @@ def _as_generators(group) -> tuple[SignedPerm, ...]:
 def orbits(group, roots: LabeledRoots) -> list[tuple[int, ...]]:
     """Partition of the label set under the generated group (generator closure)."""
     gens = _as_generators(group)
-    remaining = list(roots.labels())
     seen: set[int] = set()
     out = []
-    for start in remaining:
+    for start in roots.labels():
         if start in seen:
             continue
-        orb = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for lbl in frontier:
-                for g in gens:
-                    img = roots.act(g, lbl)
-                    if img not in orb:
-                        orb.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        orb = _closure(start, lambda lbl: [roots.act(g, lbl) for g in gens])
         seen |= orb
         out.append(tuple(sorted(orb)))
     return out
@@ -550,24 +525,15 @@ def transitivity_degree(group, roots: LabeledRoots) -> int:
     Checked by orbit closure on points and then on ordered pairs of distinct
     points; degrees beyond 2 are never needed and are reported as 2.
     """
-    gens = _as_generators(group)
     labels = roots.labels()
     if len(orbits(group, roots)) != 1:
         return 0
     if len(labels) < 2:
         return 1
-    start = (labels[0], labels[1])
-    orb = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            for g in gens:
-                img = (roots.act(g, pair[0]), roots.act(g, pair[1]))
-                if img not in orb:
-                    orb.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    maps = [{x: roots.act(g, x) for x in labels} for g in _as_generators(group)]
+    orb = _closure(
+        (labels[0], labels[1]), lambda pair: [(mp[pair[0]], mp[pair[1]]) for mp in maps]
+    )
     n = len(labels)
     return 2 if len(orb) == n * (n - 1) else 1
 

@@ -162,3 +162,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert run(["invariants", "--p", "3", "--r", "2", "--output", target]) == 3
     err = capsys.readouterr().err
     assert err.count(f"prymcert: error: cannot write {target}") == 2
+
+
+def test_sampling_past_the_census_budget_is_usage_error(capsys, monkeypatch):
+    # W(D_9) has order 2^8 9! > the census budget: refused as bad input
+    # (exit 3, not the Refuted exit 1), before any prime is factored
+    from prymcert import intpoly
+
+    def no_factoring(*args):
+        raise AssertionError("a prime was factored before the budget check")
+
+    monkeypatch.setattr(intpoly, "_factor_degrees", no_factoring)
+    assert run(["galois", "--m", "9", "--mode", "sample", "--samples", "20"]) == 3
+    assert run(["galois", "--poly", "x^18 - x^2 - 1", "--mode", "sample"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("group of order 92897280 exceeds enumeration budget 5160960") == 2

@@ -446,3 +446,30 @@ def test_failure_path_requests_each_factorization_once(monkeypatch):
             assert cert.verdict_detail["detail"] == expected == "Inconclusive()"
         # no walk factors a prime past the budget, not even the first one
         assert max(q for _, q, _ in requests) <= budget, (m, c, budget)
+
+
+def test_small_m_chain_takes_irred_x2_from_the_walk(monkeypatch):
+    # for m <= 7 the IrredX2 witness comes from the one walk over u: no
+    # irreducible_over_Q (a second rational-root test, disc(u) and walk),
+    # and u is factored only at primes up to its witness, each once
+    requests = _log_factorizations(monkeypatch)
+    original = intpoly.irreducible_over_Q
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name == "prymcert" or module_name.startswith("prymcert."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    cert = certify_prym(3, 2)
+    assert cert.verdict == "Probabilistic"
+    assert calls == []
+    (irred_x2,) = [step for step in cert.steps if step.rule == "IrredX2"]
+    premises = {prem["fact"]: prem["value"] for prem in irred_x2.premises}
+    witness = premises["u irreducible over Q (witness prime)"]
+    u_primes = [q for f, q, s in requests if s == 1 and len(f) == 6]  # u = x^5 - x - 1
+    assert u_primes == sorted(set(u_primes)) and u_primes[-1] == witness

@@ -288,3 +288,25 @@ def test_census_from_cycle_types_agrees_with_raw_enumeration():
             ct = induced_cycle_type(g)
             raw[ct] = raw.get(ct, 0) + 1
         assert raw == census(desc), desc
+
+
+def test_named_kinds_agree_with_generator_closure():
+    # order() and census() read the kind table, elements() closes the
+    # hand-written generators: both must describe the same group
+    for kind in ("Sm", "Am", "Em", "Em0", "WDm", "TwoM_Sm"):
+        for m in range(1, 7):
+            desc = GroupDescriptor(kind, m)
+            els = elements(desc)
+            assert desc.order() == len(els) == len(set(els)), (kind, m)
+            raw: dict[CycleType, int] = {}
+            for g in els:
+                ct = induced_cycle_type(g)
+                raw[ct] = raw.get(ct, 0) + 1
+            assert raw == census(desc), (kind, m)
+
+
+def test_wd1_is_trivial():
+    desc = GroupDescriptor.wdm(1)
+    assert desc.generators() == (SignedPerm.identity(1),)
+    assert elements(desc) == [SignedPerm.identity(1)]
+    assert census(desc) == {CycleType([1, 1]): 1}
