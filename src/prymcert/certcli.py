@@ -2,9 +2,9 @@
 
 JSON is the machine interface; the text format is rendered from the JSON
 document, never computed separately.  Exit codes: 0 = deterministic verdict,
-1 = refuted, 2 = probabilistic or inconclusive, 3 = usage error.  Every
-command is deterministic given its flags and seed, and repeated runs emit
-byte-identical JSON.
+1 = refuted, 2 = probabilistic or inconclusive, 3 = usage error, including
+an input too large to hold in memory.  Every command is deterministic given
+its flags and seed, and repeated runs emit byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -373,6 +373,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # not Refuted (exit 1): the input was too large to hold in memory
+        print(f"{TOOL_NAME}: error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_USAGE
 
 

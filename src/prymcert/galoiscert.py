@@ -225,7 +225,8 @@ def chebotarev_verdict(
 
     Consistent samples are reported with observed vs expected class counts
     (expected = samples * class size / group order) and an advisory
-    chi-square statistic.  The first impossible type refutes immediately.
+    chi-square statistic.  The first impossible type refutes immediately:
+    no later prime is factored.
     With pool > samples, the sampled primes are a seed-shuffled subset of the
     first `pool` unramified primes; otherwise the seed plays no role and the
     first `samples` unramified primes are used in increasing order.  A
@@ -244,10 +245,10 @@ def chebotarev_verdict(
     order = sum(cens.values())
     tj = target.to_json()
 
-    stream = list(frobenius)
+    stream = frobenius  # lazy, so a refuting prime ends the factoring
     if pool and pool > samples:
         rng = random.Random(seed)
-        stream = sorted(rng.sample(stream, samples))
+        stream = sorted(rng.sample(list(frobenius), samples))
 
     observed: dict[CycleType, int] = {}
     qs: list[int] = []
@@ -275,24 +276,22 @@ def chebotarev_verdict(
         consistent=refuting_prime is None,
         refuting_prime=refuting_prime,
         refuting_type=refuting_type,
-        classes=_class_table(observed, cens, n),
+        classes=_class_table(observed, cens, order, n),
         chi_square=chi,
         dof=dof,
         prime_range=[qs[0], qs[-1]],
     )
 
 
-def _class_table(observed, cens, n) -> list[dict]:
-    rows = []
-    for ct in sorted(cens):
-        rows.append(
-            {
-                "type": list(ct),
-                "count": observed.get(ct, 0),
-                "expected": round(n * cens[ct] / sum(cens.values()), 6),
-            }
-        )
-    return rows
+def _class_table(observed, cens, order, n) -> list[dict]:
+    return [
+        {
+            "type": list(ct),
+            "count": observed.get(ct, 0),
+            "expected": round(n * cens[ct] / order, 6),
+        }
+        for ct in sorted(cens)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -856,23 +855,43 @@ def certify_prym(
 
 
 def replay(doc: dict) -> Certificate:
-    """Re-run the pipeline recorded in a certificate document from scratch."""
-    cfg = doc["config"]
+    """Re-run the pipeline recorded in a certificate document from scratch.
+
+    A document without a usable `config` (not an object, an unknown command,
+    a missing key or a non-integer value) is rejected with a ValueError that
+    names what is wrong.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate must be an object, got {type(doc).__name__}")
+    cfg = doc.get("config")
+    if not isinstance(cfg, dict):
+        raise ValueError(f"certificate config must be an object, got {type(cfg).__name__}")
     command = cfg.get("command")
+    keys = _REPLAY_KEYS.get(command) if isinstance(command, str) else None
+    if keys is None:
+        raise ValueError(f"unknown certificate command {command!r}")
+    for key in keys:
+        if key not in cfg:
+            raise ValueError(f"certificate config has no {key!r}")
+        if type(cfg[key]) is not int:
+            raise ValueError(
+                f"certificate config {key!r} must be an integer, got {type(cfg[key]).__name__}"
+            )
     if command == "verify":
         return certify_prym(
             cfg["p"], cfg["r"], cfg["samples"], cfg["seed"], cfg["prime_budget"]
         )
-    if command == "galois-certify":
-        return certify_wdm_over_Q(
-            cfg["m"], cfg["c"], cfg["samples"], cfg["seed"], cfg["prime_budget"]
-        )
-    if command == "galois-descent":
-        base = certify_wdm_over_Q(
-            cfg["m"], cfg["c"], cfg["samples"], cfg["seed"], cfg["prime_budget"]
-        )
-        return cyclotomic_descent(base, cfg["p"], cfg["r"])
-    raise ValueError(f"unknown certificate command {command!r}")
+    base = certify_wdm_over_Q(
+        cfg["m"], cfg["c"], cfg["samples"], cfg["seed"], cfg["prime_budget"]
+    )
+    return base if command == "galois-certify" else cyclotomic_descent(base, cfg["p"], cfg["r"])
+
+
+_REPLAY_KEYS = {
+    "verify": ("p", "r", "samples", "seed", "prime_budget"),
+    "galois-certify": ("m", "c", "samples", "seed", "prime_budget"),
+    "galois-descent": ("m", "c", "samples", "seed", "prime_budget", "p", "r"),
+}
 
 
 def verify_replay(doc: dict) -> bool:

@@ -14,20 +14,24 @@ Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
 1992).  X = x^q mod f is computed once by left-to-right squaring, then the
 rows X^i mod f of the Berlekamp Q-matrix; since w(x)^q = w(X) over F_q,
 each further x^(q^d) is one vector-matrix product.  Work stays mod the
-original f: the factors of degree d are gcd(x^(q^d) - x, v) against the
-cofactor v, which divides f.  Products are exact Python ints packed by
-Kronecker substitution, reduced mod q once per output coefficient, and
-reduced mod f through f's nonzero coefficients only (three for the
-family's trinomials).
+original f: the factors of degree d divide x^(q^d) - x, and the gcds are
+taken against the cofactor v, which divides f.  The gcds are interval gcds
+(the same paper; Shoup, J. Symb. Comp. 20, 1995): one gcd of v with the
+product of x^(q^d) - x over a block of about sqrt(n / 2) consecutive
+degrees (n the degree factored), refined degree by degree only when it is
+nontrivial.  Products are exact Python ints packed by Kronecker
+substitution, reduced mod q once per output coefficient, and reduced mod f
+through f's nonzero coefficients only (three for the family's trinomials).
 
 An even f(x) = g(x^2) mod an odd q, such as the composite h = u(x^2) that
-Chebotarev sampling factors, is factored in F_q[y]/(g) with y = x^2, at half
-the degree.  A Frobenius cycle of length L on the roots of g either splits
-into two L-cycles on the roots of f or becomes one 2L-cycle, according to
-whether its root b is a square in F_(q^L), that is, the quadratic character
-of the norm of b to F_q.  The route computes exactly that sign,
-b^((q^d-1)/2) = 1, as gcd(y^((q^d-1)/2) - 1, V) against the cofactor V of g,
-so it is exact, with no equal-degree splitting and no randomness.
+Chebotarev sampling factors, is factored through g at half the degree.  A
+Frobenius cycle of length L on the roots of g either splits into two
+L-cycles on the roots of f or becomes one 2L-cycle, according to whether
+its root b is a square in F_(q^L), that is, whether the norm of b is a
+square in F_q.  A lone factor of g is typed by one Legendre symbol of that
+norm, read off its constant term; a product of several factors of degree d
+is split by one gcd with y^((q^d-1)/2) - 1.  The route is exact, with no
+equal-degree splitting and no randomness.
 
 unramified_factor_degrees is the one walk over the primes: every scan of a
 polynomial's Frobenius types (irreducibility witnesses, the Jordan cycle,
@@ -596,17 +600,28 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     The Frobenius map is computed once: X = x^q mod f, then the rows X^i mod
     f of the Berlekamp Q-matrix.  Since w(x)^q = w(x^q) over F_q, each
     further x^(q^d) = w(X) is one product of the coefficient vector w with
-    that matrix.  Everything stays mod the original f; the factors of degree
-    d are gcd(x^(q^d) - x, v) for the cofactor v of the factors found so
-    far, which is valid because v divides f.
+    that matrix.  Everything stays mod the original f, and every gcd is
+    taken against the cofactor v of the factors found so far, which is
+    valid because v divides f.  The degrees go in blocks of
+    L = max(1, isqrt(n // 2)) consecutive d, for n the degree the loop runs
+    at (deg f, or deg g below), so L = 1 for n <= 7.  One gcd G of v with
+    the product of the t_d = x^(q^d) - x of the block, mod f, finds every
+    factor whose degree lies in the block.  A nontrivial
+    G is refined by gcd(t_d, G) in increasing d, removing each part found,
+    and a remainder of degree < 2d is one factor and needs no gcd.  The loop
+    runs while deg v >= 2(d + 1); what is left then is one factor.
 
     An even f(x) = g(x^2) with q odd is factored at half its degree, in
-    F_q[y]/(g) with y = x^2.  It is squarefree iff g is and g(0) != 0; then
-    x does not divide the cofactor V(x^2), so gcd(x^(q^d) - x, V(x^2)) =
-    G(x^2) with G = gcd(y^((q^d-1)/2) - 1, V).  With A = y^((q-1)/2) and
-    Y = y A^2 = y^q, B_d = y^((q^d-1)/2) steps as B_(d+1) = B_d(Y) A, a
-    linear map whose rows are Y^i A; each root of G is a pair of roots of f
-    of degree d, so G accounts for 2 deg G / d factors.
+    F_q[y]/(g) with y = x^2.  It is squarefree iff g is and g(0) != 0.  The
+    powering goes through A = y^((q-1)/2) to Y = y A^2 = y^q, and the same
+    blocked loop runs on g with t_d = y^(q^d) - y (y does not divide g).
+    An irreducible factor of g of degree e with root b gives two factors of
+    f of degree e when b is a square in F_(q^e), else one of degree 2e; b is
+    a square iff ((-1)^e g_e(0))^((q-1)/2) = 1 for that factor g_e, the
+    Legendre symbol of the norm of b.  So a part holding one factor, such as
+    the last factor left, is typed by one Legendre symbol.  A part holding several factors
+    of degree d is split by gcd(B_d - 1, part), whose roots are exactly the
+    squares; B_d = y^((q^d-1)/2) steps from B_1 = A as B_(k+1) = B_k^q A.
     """
     if f.degree < 1:
         raise ValueError("factor degrees require a nonconstant polynomial")
@@ -626,7 +641,9 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
     """The kernel of reduce_and_factor_degrees, without its checks.
 
     Factor degrees of F(x) = f(x^s) mod q, for f a list of residues mod q,
-    monic and squarefree, with f(0) != 0 when s = 2 (so q is odd).
+    monic and squarefree, with f(0) != 0 when s = 2 (so q is odd).  The
+    distinct-degree factorization runs on f itself, in blocks of consecutive
+    degrees; s = 2 then types each part found by quadratic characters.
     """
     n = len(f) - 1
     tail = [(k, c) for k, c in enumerate(f[:n]) if c]  # f's nonzero lower terms
@@ -643,44 +660,82 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
         a = [c % q for c in a[:n]]
         return a + [0] * (n - len(a))
 
-    def mulmod(a_packed, b_packed):
-        return reduce(_unpack(a_packed * b_packed, 2 * n - 1, bits))
+    def mulmod(a, b, times_y=0):
+        """a b y^times_y mod f, for times_y in (0, 1); "times y" shifts by one slot."""
+        a_packed = _pack(a, bits)
+        b_packed = a_packed if b is a else _pack(b, bits)
+        return reduce(_unpack(a_packed * b_packed << times_y * bits, 2 * n - 1 + times_y, bits))
+
+    def frobenius(w):
+        """w(X) = w^q mod f, from the packed rows X^i of the Berlekamp Q-matrix."""
+        return [c % q for c in _unpack(sum(c * r for c, r in zip(w, rows) if c), n, bits)]
+
+    def root_is_square(e, c0):
+        """Whether a root of an irreducible factor of degree e, constant c0, is a square."""
+        return pow(-c0 if e % 2 else c0, (q - 1) // 2, q) == 1
+
+    def record(part, d):
+        """Append the factors of F over part, a product of factors of f of degree d."""
+        e = len(part) - 1
+        if s == 1:
+            degrees.extend([d] * (e // d))
+        elif e == d:
+            degrees.extend([d, d] if root_is_square(d, part[0]) else [2 * d])
+        else:
+            # a root of part lies in F_(q^d), and is a square there iff B_d is 1 at
+            # it; B_d = y^((q^d-1)/2) steps from B_1 = A as B_(k+1) = B_k^q A
+            b = A
+            for _ in range(d - 1):
+                b = mulmod(frobenius(b), A)
+            squares = len(_fq_gcd([b[0] - 1] + b[1:], part, q)) - 1
+            degrees.extend([d] * (2 * squares // d) + [2 * d] * ((e - squares) // d))
 
     y = reduce([0, 1])
-    X = y  # y^(q // s) mod f, left to right; "times y" is a shift and one reduction step
-    for bit in bin(q // s)[3:]:
-        X_packed = _pack(X, bits)
-        X = mulmod(X_packed, X_packed)
-        if bit == "1":
-            X = reduce([0] + X)
-    if s == 1:
-        lift = reduce([1])
-    else:
-        lift = X  # A = y^((q-1)/2)
-        X_packed = _pack(X, bits)
-        X = reduce([0] + mulmod(X_packed, X_packed))  # Y = y A^2 = y^q
-    # the rows X^i lift mod f of the Berlekamp Q-matrix, packed: w -> w(X) lift
-    X_packed = _pack(X, bits)
-    rows = [_pack(lift, bits)]
+    power = q // s
+    X = y  # y^power mod f, left to right
+    for i in range(power.bit_length() - 2, -1, -1):
+        X = mulmod(X, X, power >> i & 1)
+    if s == 2:
+        A = X  # y^((q-1)/2)
+        X = mulmod(A, A, 1)  # y A^2 = y^q
+    # the rows X^i mod f of the Berlekamp Q-matrix, packed for frobenius
+    rows = [reduce([1])]
     while len(rows) < n:
-        rows.append(_pack(mulmod(rows[-1], X_packed), bits))
+        rows.append(mulmod(rows[-1], X))
+    rows = [_pack(row, bits) for row in rows]
 
     degrees: list[int] = []
     v = f  # the cofactor of the factors found so far; it divides f, so w stays mod f
-    w = y if s == 1 else reduce([1])  # x^(q^d), or B_d = y^((q^d-1)/2), mod f
-    k = 2 - s  # gcd against w - x, or B_d - 1
+    w = y  # y^(q^d) mod f
+    length = max(1, math.isqrt(n // 2))  # degrees per block
     d = 0
-    while s * (len(v) - 1) >= 2 * (d + 1):
-        d += 1
-        w = [c % q for c in _unpack(sum(c * r for c, r in zip(w, rows) if c), n, bits)]
-        w[k] -= 1
-        g = _fq_gcd(w, v, q)
-        w[k] += 1
-        if len(g) > 1:
-            degrees.extend([d] * (s * (len(g) - 1) // d))
-            v = _fq_divexact(v, g, q)
-    if len(v) > 1:
-        degrees.append(s * (len(v) - 1))
+    while len(v) - 1 >= 2 * (d + 1):
+        # one gcd against the product of t_d = y^(q^d) - y over a block of degrees
+        block = []
+        product = None
+        for _ in range(min(length, (len(v) - 1) // 2 - d)):
+            d += 1
+            w = frobenius(w)
+            t = list(w)
+            t[1] = (t[1] - 1) % q
+            block.append((d, t))
+            product = t if product is None else mulmod(product, t)
+        g = _fq_gcd(product, v, q)
+        if len(g) == 1:
+            continue
+        v = _fq_divexact(v, g, q)
+        # refine: g's factors have degrees in the block, so take them in increasing d
+        for i, (d_i, t) in enumerate(block):
+            if len(g) - 1 < 2 * d_i:  # at most one factor left, of degree deg g
+                if len(g) > 1:
+                    record(g, len(g) - 1)
+                break
+            part = g if i == len(block) - 1 else _fq_gcd(t, g, q)
+            if len(part) > 1:
+                record(part, d_i)
+                g = _fq_divexact(g, part, q)
+    if len(v) > 1:  # one factor, of degree deg v, since all of degree <= deg v / 2 are out
+        record(v, len(v) - 1)
     return CycleType(degrees)
 
 

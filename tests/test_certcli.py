@@ -177,3 +177,28 @@ def test_sampling_past_the_census_budget_is_usage_error(capsys, monkeypatch):
     assert run(["galois", "--poly", "x^18 - x^2 - 1", "--mode", "sample"]) == 3
     err = capsys.readouterr().err
     assert err.count("group of order 92897280 exceeds enumeration budget 5160960") == 2
+
+
+def test_out_of_memory_is_usage_error():
+    # each input asks at once for a list of about 10^15 entries: exit 3 with a
+    # named error, never exit 1 (Refuted) with a traceback; the address-space
+    # limit keeps a child that could allocate from growing large
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(prymcert.__file__).resolve().parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for args in (
+        ["galois", "--m", "1000000000000001"],
+        ["verify", "--p", "3", "--r", "333333333333334"],
+        ["galois", "--poly", "x^1000000000000000 - x^2 - 1"],
+    ):
+        res = subprocess.run(
+            [sys.executable, "-m", "prymcert.certcli", *args],
+            env=env, capture_output=True, timeout=60, preexec_fn=limit,
+        )
+        err = res.stderr.decode()
+        assert res.returncode == 3, (args, err)
+        assert err == "prymcert: error: out of memory: the input is too large\n", (args, err)

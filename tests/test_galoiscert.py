@@ -473,3 +473,50 @@ def test_small_m_chain_takes_irred_x2_from_the_walk(monkeypatch):
     witness = premises["u irreducible over Q (witness prime)"]
     u_primes = [q for f, q, s in requests if s == 1 and len(f) == 6]  # u = x^5 - x - 1
     assert u_primes == sorted(set(u_primes)) and u_primes[-1] == witness
+
+
+def test_refuted_sampling_stops_at_the_refuting_prime(monkeypatch):
+    # x^14 - x - 1 is not even, so its type at q = 2 is outside W(D_7): the
+    # run ends there, and no later prime of the 2000 requested is factored
+    requests = _log_factorizations(monkeypatch)
+    h = parse_poly("x^14 - x - 1")
+    report = chebotarev_verdict(h, GroupDescriptor.wdm(7), 2000)
+    assert not report.consistent and report.refuting_prime == 2
+    assert [q for _, q, _ in requests] == [2]
+    assert report.to_json() == chebotarev_verdict(h, GroupDescriptor.wdm(7), 20).to_json()
+
+
+def _mutated(doc, mutate):
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    return doc
+
+
+def test_replay_rejects_malformed_config_by_name():
+    docs = {
+        "verify": json.loads(certify_prym(5, 2).canonical()),
+        "galois-descent": json.loads(
+            cyclotomic_descent(certify_wdm_over_Q(5, 1, samples=60), 3, 2).canonical()
+        ),
+    }
+    mutations = [
+        ("verify", lambda d: d.pop("config"), "config must be an object, got NoneType"),
+        ("verify", lambda d: d.update(config=5), "config must be an object, got int"),
+        ("verify", lambda d: d["config"].pop("p"), "config has no 'p'"),
+        ("verify", lambda d: d["config"].pop("prime_budget"), "config has no 'prime_budget'"),
+        ("verify", lambda d: d["config"].update(p="x"), "'p' must be an integer, got str"),
+        ("verify", lambda d: d["config"].update(samples=2.5), "'samples' must be an integer, got float"),
+        ("verify", lambda d: d["config"].update(seed=None), "'seed' must be an integer, got NoneType"),
+        ("verify", lambda d: d["config"].update(command="x"), "unknown certificate command 'x'"),
+        ("verify", lambda d: d["config"].update(command=[1]), r"unknown certificate command \[1\]"),
+        ("galois-descent", lambda d: d["config"].pop("m"), "config has no 'm'"),
+        ("galois-descent", lambda d: d["config"].pop("r"), "config has no 'r'"),
+        ("galois-descent", lambda d: d["config"].update(c=True), "'c' must be an integer, got bool"),
+    ]
+    for command, mutate, message in mutations:
+        assert docs[command]["config"]["command"] == command
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+            replay(_mutated(docs[command], mutate))
+    with pytest.raises(ValueError, match="certificate must be an object, got list"):
+        replay([])
+    assert verify_replay(docs["verify"])  # the unmutated documents still replay

@@ -566,3 +566,145 @@ def test_even_factor_degrees_agree_with_general_route_on_shift():
                 assert ct == reduce_and_factor_degrees(shifted, q), (f, q)
                 unramified += ct is not RAMIFIED
     assert unramified > 1000
+
+
+# ---------------------------------------------------------------------------
+# the kernel's blocks of degrees and quadratic characters, on chosen factorizations
+# ---------------------------------------------------------------------------
+
+
+def _irreducible_count(q, d, nonzero_root=False):
+    """The number of monic irreducibles of degree d mod q (Gauss), without x if asked."""
+    def mobius(k):
+        sign = 1
+        for p in primes():
+            if p > k:
+                return sign
+            if k % (p * p) == 0:
+                return 0
+            if k % p == 0:
+                sign, k = -sign, k // p
+
+    count = sum(mobius(k) * q ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+    return count - (nonzero_root and d == 1)
+
+
+def _feasible(degrees, q, nonzero_root=False):
+    """degrees with any degree beyond the supply of irreducibles mod q dropped."""
+    out = []
+    for d in degrees:
+        if out.count(d) < _irreducible_count(q, d, nonzero_root):
+            out.append(d)
+    return out
+
+
+def _irreducibles_mod(rng, q, d, count, nonzero_root=False):
+    """count distinct monic irreducibles of degree d mod q, constant term first."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+    found = []
+    while len(found) < count:
+        c = tuple(rng.randrange(q) for _ in range(d)) + (1,)
+        if c not in found and (c[0] or not nonzero_root) and gt.gf_irreducible_p(c[::-1], q, ZZ):
+            found.append(c)
+    return found
+
+
+def _product(factors):
+    f = IntPoly.one()
+    for c in factors:
+        f = f * IntPoly(c)
+    return f
+
+
+def _block_length(n):
+    """The degrees per block, as the kernel lays them out: the first block is 1..L."""
+    return max(1, int((n // 2) ** 0.5))
+
+
+def test_blocked_factor_degrees_agree_with_sympy():
+    # products over Z of distinct irreducibles mod q, degree >= 30, so that
+    # blocks hold several degrees; the factor degrees mod q are known by construction
+    rng = random.Random(909)
+    seen = {"d and 2d in the first block": 0, "two degrees in the first block": 0, "q = 2": 0, "q = 2^31 - 1": 0}
+    for q in [2, 3, 5, 7, 13, 2**31 - 1] * 4:
+        if q == 2:
+            degrees = rng.choice([[1, 1, 2, 3, 4, 4, 5, 6, 7, 8], [1, 2, 4, 4, 5, 5, 9, 10], [3, 3, 4, 6, 7, 9]])
+        else:
+            degrees = [rng.randint(1, 12) for _ in range(rng.randint(4, 9))]
+            degrees += [rng.randint(1, 4) for _ in range(3)]  # crowd the first block
+            while sum(_feasible(degrees, q)) < 30:
+                degrees.append(rng.randint(1, 12))
+            degrees = _feasible(degrees, q)
+        factors = []
+        for d in sorted(set(degrees)):
+            factors += _irreducibles_mod(rng, q, d, degrees.count(d))
+        f = _product(factors)
+        ct = reduce_and_factor_degrees(f, q)
+        assert ct == CycleType(degrees), (q, degrees, ct)
+        if q < 2**31 - 1:  # sympy's DDF of the whole product is slow at the largest q
+            assert ct == _sympy_factor_degrees(f, q)
+        first = {d for d in degrees if d <= _block_length(f.degree)}
+        seen["d and 2d in the first block"] += any(2 * d in first for d in first)
+        seen["two degrees in the first block"] += len(first) >= 2
+        seen["q = 2"] += q == 2
+        seen["q = 2^31 - 1"] += q == 2**31 - 1
+    assert min(seen.values()) >= 4, seen
+
+
+def _square_type(factor, q):
+    """Whether factor(x^2) splits into two factors mod q (sympy, not a Legendre symbol)."""
+    (d,) = set(_sympy_factor_degrees(compose_x2(IntPoly(factor)), q))
+    return d == len(factor) - 1
+
+
+def test_even_factor_degrees_by_square_type_agree_with_sympy():
+    # g(x^2) for g a product of irreducibles mod odd q: each factor of degree e
+    # gives [e, e] when its roots are squares and [2e] otherwise; sympy types
+    # each factor, so the expected degrees owe nothing to the kernel's characters
+    rng = random.Random(910)
+    seen = {"mixed types at one degree": 0, "largest square": 0, "largest not square": 0, "deg g >= 30": 0, "q = 2^31 - 1": 0}
+    for q in [3, 5, 7, 11, 13, 2**31 - 1] * 5:
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        degrees += [rng.randint(3, 8) for _ in range(rng.randint(0, 5))]
+        degrees = _feasible(degrees, q, nonzero_root=True)
+        degrees.append(max(degrees) + rng.randint(1, 6))  # a largest factor, alone at its degree
+        factors = []
+        for d in sorted(set(degrees)):
+            factors += _irreducibles_mod(rng, q, d, degrees.count(d), nonzero_root=True)
+        f = compose_x2(_product(factors))
+        types = [(len(c) - 1, _square_type(c, q)) for c in factors]
+        expected = CycleType([e for e, sq in types for e in ([e, e] if sq else [2 * e])])
+        ct = reduce_and_factor_degrees(f, q)
+        assert ct == expected, (q, types, ct)
+        if q < 2**31 - 1:  # sympy's DDF of the whole product is slow at the largest q
+            assert ct == _sympy_factor_degrees(f, q)
+        seen["mixed types at one degree"] += any(
+            {sq for e, sq in types if e == d} == {True, False} for d in set(degrees)
+        )
+        seen["largest square" if types[-1][1] else "largest not square"] += 1
+        seen["deg g >= 30"] += sum(degrees) >= 30
+        seen["q = 2^31 - 1"] += q == 2**31 - 1
+    assert min(seen.values()) >= 4, seen
+
+
+def test_factor_degrees_of_degree_one_and_two():
+    qs = list(itertools.islice(primes(), 25)) + [17417, 2**31 - 1]
+    rng = random.Random(911)
+    polys = [parse_poly(t) for t in ("x", "x + 1", "2x - 1", "x^2", "x^2 + 1", "x^2 - 2", "x^2 + x + 1")]
+    polys += [_random_poly(rng, rng.randint(1, 2), monic=rng.random() < 0.5) for _ in range(20)]
+    polys += [compose_x2(g) for g in polys if g.degree == 1]  # even, degree 2: g of degree 1
+    seen = {"n = 1": 0, "n = 2": 0, "q = 2": 0, "q = 2^31 - 1": 0, "split": 0, "irreducible": 0}
+    for f in polys:
+        for q in qs:
+            if f.lc % q == 0:
+                continue
+            ct = reduce_and_factor_degrees(f, q)
+            expected = _sympy_factor_degrees(f, q)
+            assert ct == expected if expected is not RAMIFIED else ct is RAMIFIED, (f, q, ct)
+            if ct is not RAMIFIED:
+                seen[f"n = {f.degree}"] += 1
+                seen["q = 2"] += q == 2
+                seen["q = 2^31 - 1"] += q == 2**31 - 1
+                seen["split" if len(ct) > 1 else "irreducible"] += f.degree == 2
+    assert min(seen.values()) >= 5, seen
