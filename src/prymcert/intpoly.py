@@ -11,17 +11,20 @@ irreducible-factor degrees, never the factors themselves.
 
 Distinct-degree factorization goes through the Frobenius map (von zur
 Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
-1992).  X = x^q mod f is computed once by left-to-right squaring, then the
-rows X^i mod f of the Berlekamp Q-matrix; since w(x)^q = w(X) over F_q,
-each further x^(q^d) is one vector-matrix product.  Work stays mod the
-original f: the factors of degree d divide x^(q^d) - x, and the gcds are
-taken against the cofactor v, which divides f.  The gcds are interval gcds
-(the same paper; Shoup, J. Symb. Comp. 20, 1995): one gcd of v with the
-product of x^(q^d) - x over a block of about sqrt(n / 2) consecutive
-degrees (n the degree factored), refined degree by degree only when it is
-nontrivial.  Products are exact Python ints packed by Kronecker
-substitution, reduced mod q once per output coefficient, and reduced mod f
-through f's nonzero coefficients only (three for the family's trinomials).
+1992), once per batch of consecutive primes: mod M, their product,
+(Z/M)[x]/(f) is the product of the F_q[x]/(f) (CRT).  One left-to-right
+squaring mod M, stepped by "times x" to each prime's exponent and glued by
+CRT idempotents, gives X = x^q mod f at every prime, and one set of
+Q-matrix rows X^i mod f serves the batch; since w(x)^q = w(X) over F_q,
+each x^(q^d) is one vector-matrix product.  Each prime reads these mod q
+and runs only the gcds, which stay mod the original f: they are taken
+against the cofactor v, which divides f.  They are interval gcds (the same
+paper; Shoup, J. Symb. Comp. 20, 1995): one gcd of v with the product of
+x^(q^d) - x over a block of about sqrt(n / 2) consecutive degrees (n the
+degree factored), refined degree by degree only when it is nontrivial.
+Products are exact Python ints packed by Kronecker substitution, reduced
+mod q (or M) once per output coefficient, and reduced mod f through f's
+nonzero coefficients only (three for the family's trinomials).
 
 An even f(x) = g(x^2) mod an odd q, such as the composite h = u(x^2) that
 Chebotarev sampling factors, is factored through g at half the degree.  A
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import islice, takewhile
 
 from ._primes import is_prime, primes
 from ._record import Record
@@ -597,19 +601,16 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     has a repeated factor (equivalently, q divides disc f).  Only degrees are
     computed: distinct-degree factorization without equal-degree splitting.
 
-    The Frobenius map is computed once: X = x^q mod f, then the rows X^i mod
-    f of the Berlekamp Q-matrix.  Since w(x)^q = w(x^q) over F_q, each
-    further x^(q^d) = w(X) is one product of the coefficient vector w with
-    that matrix.  Everything stays mod the original f, and every gcd is
-    taken against the cofactor v of the factors found so far, which is
-    valid because v divides f.  The degrees go in blocks of
-    L = max(1, isqrt(n // 2)) consecutive d, for n the degree the loop runs
-    at (deg f, or deg g below), so L = 1 for n <= 7.  One gcd G of v with
-    the product of the t_d = x^(q^d) - x of the block, mod f, finds every
-    factor whose degree lies in the block.  A nontrivial
-    G is refined by gcd(t_d, G) in increasing d, removing each part found,
-    and a remainder of degree < 2d is one factor and needs no gcd.  The loop
-    runs while deg v >= 2(d + 1); what is left then is one factor.
+    q is a batch of one (M = q) of _Frobenius, the code path of every prime
+    of the walk.  Every gcd is taken against the cofactor v of the factors
+    found so far, which is valid because v divides f.  The degrees go in
+    blocks of L = max(1, isqrt(n // 2)) consecutive d, for n the degree the
+    loop runs at (deg f, or deg g below), so L = 1 for n <= 7.  One gcd G of
+    v with the product of the t_d = x^(q^d) - x of the block, mod f, finds
+    every factor whose degree lies in the block.  A nontrivial G is refined
+    by gcd(t_d, G) in increasing d, removing each part found, and a
+    remainder of degree < 2d is one factor and needs no gcd.  The loop runs
+    while deg v >= 2(d + 1); what is left then is one factor.
 
     An even f(x) = g(x^2) with q odd is factored at half its degree, in
     F_q[y]/(g) with y = x^2.  It is squarefree iff g is and g(0) != 0.  The
@@ -619,9 +620,10 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     f of degree e when b is a square in F_(q^e), else one of degree 2e; b is
     a square iff ((-1)^e g_e(0))^((q-1)/2) = 1 for that factor g_e, the
     Legendre symbol of the norm of b.  So a part holding one factor, such as
-    the last factor left, is typed by one Legendre symbol.  A part holding several factors
-    of degree d is split by gcd(B_d - 1, part), whose roots are exactly the
-    squares; B_d = y^((q^d-1)/2) steps from B_1 = A as B_(k+1) = B_k^q A.
+    the last factor left, is typed by one Legendre symbol.  A part holding
+    several factors of degree d is split by gcd(B_d - 1, part), whose roots
+    are exactly the squares; B_d = y^((q^d-1)/2) steps from B_1 = A as
+    B_(k+1) = B_k^q A.
     """
     if f.degree < 1:
         raise ValueError("factor degrees require a nonconstant polynomial")
@@ -637,27 +639,21 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     return _factor_degrees(g, q, s)
 
 
-def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
-    """The kernel of reduce_and_factor_degrees, without its checks.
-
-    Factor degrees of F(x) = f(x^s) mod q, for f a list of residues mod q,
-    monic and squarefree, with f(0) != 0 when s = 2 (so q is odd).  The
-    distinct-degree factorization runs on f itself, in blocks of consecutive
-    degrees; s = 2 then types each part found by quadratic characters.
-    """
+def _ring(f: list[int], modulus: int):
+    """(reduce, mulmod, slot bits) of (Z/modulus)[y]/(f), for f monic mod modulus."""
     n = len(f) - 1
     tail = [(k, c) for k, c in enumerate(f[:n]) if c]  # f's nonzero lower terms
     # a slot holds a sum of at most n products of residues
-    bits = (n * (q - 1) ** 2).bit_length()
+    bits = (n * (modulus - 1) ** 2).bit_length()
 
     def reduce(a):
-        """a mod f over F_q as n coefficients; a holds exact ints."""
+        """a mod f as n residues; a holds exact ints."""
         for i in range(len(a) - 1, n - 1, -1):
-            c = a[i] % q
+            c = a[i] % modulus
             if c:
                 for k, fk in tail:
                     a[i - n + k] -= c * fk
-        a = [c % q for c in a[:n]]
+        a = [c % modulus for c in a[:n]]
         return a + [0] * (n - len(a))
 
     def mulmod(a, b, times_y=0):
@@ -666,9 +662,74 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
         b_packed = a_packed if b is a else _pack(b, bits)
         return reduce(_unpack(a_packed * b_packed << times_y * bits, 2 * n - 1 + times_y, bits))
 
+    return reduce, mulmod, bits
+
+
+class _Frobenius:
+    """The Frobenius map of F_q[y]/(f) for every prime q of a batch, mod M = prod q.
+
+    y^N, N the first prime's exponent, is stepped by "times y" to each
+    prime's q // s and glued by CRT idempotents (1 mod that prime, 0 mod the
+    others) into A: y^((q-1)/2) mod every q when s = 2, y^q when s = 1.
+    X = y A^2 (s = 2) or A; the rows X^i of one Q-matrix give the iterates
+    y^(q^d) of the whole batch.  Each prime reads its values mod q.
+    """
+
+    def __init__(self, f: list[int], batch: list[int], s: int):
+        self.modulus = modulus = math.prod(batch)
+        self.f = f = _fq_monic(f, modulus)
+        self.n = n = len(f) - 1
+        reduce, mulmod, self.bits = _ring(f, modulus)
+        y = reduce([0, 1])
+        e = batch[0] // s
+        power = y  # y^e mod f, left to right
+        for i in range(e.bit_length() - 2, -1, -1):
+            power = mulmod(power, power, e >> i & 1)
+        A = [0] * n
+        for q in batch:
+            power = reduce([0] * (q // s - e) + power)  # times y^(q // s - e)
+            e = q // s
+            idempotent = modulus // q * pow(modulus // q, -1, q)
+            A = [a + idempotent * c for a, c in zip(A, power)]
+        self.A = A = [a % modulus for a in A]
+        X = mulmod(A, A, 1) if s == 2 else A
+        rows = [reduce([1])]
+        while len(rows) < n:
+            rows.append(mulmod(rows[-1], X))
+        self.rows = [_pack(row, self.bits) for row in rows]
+        self.iterates = [y]  # y^(q^d) mod f, d = 0, 1, ...
+
+    def __call__(self, w: list[int]) -> list[int]:
+        """w(X) as n unreduced slots, for w with coefficients in [0, M); w^q mod each q."""
+        return _unpack(sum(c * r for c, r in zip(w, self.rows) if c), self.n, self.bits)
+
+    def iterate(self, d: int) -> list[int]:
+        """y^(q^d) mod f, mod M."""
+        while len(self.iterates) <= d:
+            self.iterates.append([c % self.modulus for c in self(self.iterates[-1])])
+        return self.iterates[d]
+
+
+class _Residues(list):
+    """f mod q as a list of residues, whose attribute frobenius is q's batch's _Frobenius."""
+
+
+def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
+    """The kernel of reduce_and_factor_degrees, without its checks.
+
+    Factor degrees of F(x) = f(x^s) mod q, for f a list of residues mod q,
+    monic and squarefree, with f(0) != 0 when s = 2 (so q is odd).  A
+    _Residues f brings its batch's _Frobenius; any other list is a batch of
+    one.  The distinct-degree factorization runs on f itself, in blocks of
+    consecutive degrees; s = 2 then types each part found by quadratic
+    characters.
+    """
+    frobenius_map = getattr(f, "frobenius", None) or _Frobenius(f, [q], s)
+    _, mulmod, _ = _ring(f, q)
+
     def frobenius(w):
-        """w(X) = w^q mod f, from the packed rows X^i of the Berlekamp Q-matrix."""
-        return [c % q for c in _unpack(sum(c * r for c, r in zip(w, rows) if c), n, bits)]
+        """w(X) = w^q mod f."""
+        return [c % q for c in frobenius_map(w)]
 
     def root_is_square(e, c0):
         """Whether a root of an irreducible factor of degree e, constant c0, is a square."""
@@ -684,30 +745,15 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
         else:
             # a root of part lies in F_(q^d), and is a square there iff B_d is 1 at
             # it; B_d = y^((q^d-1)/2) steps from B_1 = A as B_(k+1) = B_k^q A
-            b = A
+            b = A = [c % q for c in frobenius_map.A]  # y^((q-1)/2)
             for _ in range(d - 1):
                 b = mulmod(frobenius(b), A)
             squares = len(_fq_gcd([b[0] - 1] + b[1:], part, q)) - 1
             degrees.extend([d] * (2 * squares // d) + [2 * d] * ((e - squares) // d))
 
-    y = reduce([0, 1])
-    power = q // s
-    X = y  # y^power mod f, left to right
-    for i in range(power.bit_length() - 2, -1, -1):
-        X = mulmod(X, X, power >> i & 1)
-    if s == 2:
-        A = X  # y^((q-1)/2)
-        X = mulmod(A, A, 1)  # y A^2 = y^q
-    # the rows X^i mod f of the Berlekamp Q-matrix, packed for frobenius
-    rows = [reduce([1])]
-    while len(rows) < n:
-        rows.append(mulmod(rows[-1], X))
-    rows = [_pack(row, bits) for row in rows]
-
     degrees: list[int] = []
-    v = f  # the cofactor of the factors found so far; it divides f, so w stays mod f
-    w = y  # y^(q^d) mod f
-    length = max(1, math.isqrt(n // 2))  # degrees per block
+    v = f  # the cofactor of the factors found so far; it divides f, so t stays mod f
+    length = max(1, math.isqrt((len(f) - 1) // 2))  # degrees per block
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         # one gcd against the product of t_d = y^(q^d) - y over a block of degrees
@@ -715,8 +761,7 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
         product = None
         for _ in range(min(length, (len(v) - 1) // 2 - d)):
             d += 1
-            w = frobenius(w)
-            t = list(w)
+            t = [c % q for c in frobenius_map.iterate(d)]
             t[1] = (t[1] - 1) % q
             block.append((d, t))
             product = t if product is None else mulmod(product, t)
@@ -739,6 +784,9 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
     return CycleType(degrees)
 
 
+_BATCH_CAP = 16  # batches of 1, 2, 4, ... primes up to this; larger M costs more than it shares
+
+
 def unramified_factor_degrees(f: IntPoly, disc: int, prime_budget: int | None = None):
     """Yield (q, factor degrees of f mod q) over the unramified primes q.
 
@@ -747,17 +795,26 @@ def unramified_factor_degrees(f: IntPoly, disc: int, prime_budget: int | None = 
     squarefree of degree deg f and every yielded value is a CycleType; the
     kernel runs without reduce_and_factor_degrees's checks, which these
     primes pass.  The stream ends after the last prime <= prime_budget, or
-    never when there is no budget.
+    never when there is no budget.  It goes in batches of 1, 2, 4, ... up to
+    _BATCH_CAP consecutive primes, one _Frobenius mod their product each,
+    computed on reaching the batch, so a walk that stops early powers about
+    what it yields; no batch holds a prime past the budget.
     """
     if disc == 0:
         raise ValueError("a polynomial with a repeated factor has no unramified prime")
-    even = not any(f.coeffs[1::2])  # f(x) = g(x^2), factored at half the degree mod odd q
-    for q in primes():
-        if prime_budget is not None and q > prime_budget:
-            return
-        if f.lc % q and disc % q:
-            s = 2 if even and q > 2 else 1
-            yield q, _factor_degrees(_fq_monic(f.coeffs[::s], q), q, s)
+    # f(x) = g(x^2) is factored at half the degree; it is a square mod 2
+    # (g(x^2) = g(x)^2 over F_2), so 2 divides disc or lc(f) and every q is odd
+    s = 1 if any(f.coeffs[1::2]) else 2
+    walk = primes() if prime_budget is None else takewhile(lambda q: q <= prime_budget, primes())
+    unramified = (q for q in walk if f.lc % q and disc % q)
+    size = 1
+    while batch := list(islice(unramified, size)):
+        frobenius = _Frobenius(f.coeffs[::s], batch, s)
+        for q in batch:
+            residues = _Residues(c % q for c in frobenius.f)
+            residues.frobenius = frobenius
+            yield q, _factor_degrees(residues, q, s)
+        size = min(2 * size, _BATCH_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -400,9 +400,12 @@ class GroupDescriptor(Record):
 def _check_budget(desc: GroupDescriptor, budget: int) -> None:
     known = desc.order()
     if known is not None and known > budget:
-        raise EnumerationBudgetError(
-            f"group of order {known} exceeds enumeration budget {budget}"
-        )
+        try:
+            order = str(known)
+        except ValueError:  # more digits than int-to-str conversion allows
+            from decimal import Decimal  # exact, and not bound by that limit
+            order = f"with {Decimal(known).adjusted() + 1} decimal digits"
+        raise EnumerationBudgetError(f"group of order {order} exceeds enumeration budget {budget}")
 
 
 def _closure(start, images, budget: int | None = None) -> set:

@@ -202,3 +202,17 @@ def test_out_of_memory_is_usage_error():
         err = res.stderr.decode()
         assert res.returncode == 3, (args, err)
         assert err == "prymcert: error: out of memory: the input is too large\n", (args, err)
+
+
+def test_census_budget_names_an_order_too_long_for_decimal(capsys):
+    # |W(D_2001)| has more digits than int-to-str conversion allows: the
+    # budget error names its digit count instead of failing to print it
+    from prymcert.signedperm import GroupDescriptor
+
+    assert run(["galois", "--poly", "x^4002 - x^2 - 1", "--mode", "sample", "--samples", "20"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "prymcert: error: group of order with 6341 decimal digits exceeds enumeration budget 5160960\n"
+    )
+    order = GroupDescriptor.wdm(2001).order()
+    assert 10**6340 <= order < 10**6341

@@ -520,3 +520,20 @@ def test_replay_rejects_malformed_config_by_name():
     with pytest.raises(ValueError, match="certificate must be an object, got list"):
         replay([])
     assert verify_replay(docs["verify"])  # the unmutated documents still replay
+
+
+def test_walk_powers_no_prime_past_the_budget_or_the_refuting_prime(monkeypatch):
+    # the walk shares one Frobenius map per batch of primes; log the batches
+    original = intpoly._Frobenius
+    batches = []
+
+    def logged(f, batch, s):
+        batches.append(list(batch))
+        return original(f, batch, s)
+
+    monkeypatch.setattr(intpoly, "_Frobenius", logged)
+    assert certify_wdm_over_Q(11, 1, prime_budget=5).verdict == "Inconclusive"
+    assert batches and max(max(batch) for batch in batches) <= 5
+    batches.clear()
+    report = chebotarev_verdict(parse_poly("x^14 - x - 1"), GroupDescriptor.wdm(7), 2000)
+    assert report.refuting_prime == 2 and batches == [[2]]

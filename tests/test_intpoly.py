@@ -708,3 +708,91 @@ def test_factor_degrees_of_degree_one_and_two():
                 seen["q = 2^31 - 1"] += q == 2**31 - 1
                 seen["split" if len(ct) > 1 else "irreducible"] += f.degree == 2
     assert min(seen.values()) >= 5, seen
+
+
+# ---------------------------------------------------------------------------
+# the batched prime walk
+# ---------------------------------------------------------------------------
+
+
+def _log_batches(monkeypatch):
+    """The prime lists the walk builds a shared Frobenius map for, in order."""
+    from prymcert import intpoly
+
+    original = intpoly._Frobenius
+    batches = []
+
+    def logged(f, batch, s):
+        batches.append(list(batch))
+        return original(f, batch, s)
+
+    monkeypatch.setattr(intpoly, "_Frobenius", logged)
+    return batches
+
+
+def _check_walk(f, budget=None, count=None, batches=()):
+    """The walk against a batch of one at every prime it yields.
+
+    Returns the walk's (q, factor degrees) pairs and the batches it built.
+    """
+    disc = discriminant(f)
+    walk = list(itertools.islice(unramified_factor_degrees(f, disc, budget), count))
+    built = list(batches)
+    stream = itertools.takewhile(lambda q: budget is None or q <= budget, primes())
+    unramified = (q for q in stream if f.lc % q and disc % q)
+    assert [q for q, _ in walk] == list(itertools.islice(unramified, count))
+    for q, ct in walk:
+        assert ct == reduce_and_factor_degrees(f, q), (format_poly(f), q)
+    return walk, built
+
+
+def test_batched_walk_matches_batch_of_one_on_the_sampling_runs(monkeypatch):
+    # h = u(x^2) for m = 5 and 7, over the 2000 primes that the sampling runs
+    # factor; disc(h) = 4^m disc(u)^2 puts ramified primes (19 and 151 for
+    # m = 5) inside batches
+    batches = _log_batches(monkeypatch)
+    for m in (5, 7):
+        batches.clear()
+        walk, built = _check_walk(compose_x2(trinomial(m, 1)), count=2000, batches=batches)
+        qs = [q for q, _ in walk]
+        assert len(qs) == 2000 and qs == [q for batch in built for q in batch][:2000]
+        assert [len(batch) for batch in built[:6]] == [1, 2, 4, 8, 16, 16]
+        assert m == 7 or not {19, 151} & set(qs)
+
+
+def test_batched_walk_cut_by_the_budget_mid_batch(monkeypatch):
+    # budgets at the 4th to 6th unramified prime: inside the batch of four
+    batches = _log_batches(monkeypatch)
+    for m in range(9, 62, 2):
+        u = trinomial(m, 1)
+        disc = discriminant(u)
+        budget = list(itertools.islice((q for q in primes() if disc % q), 7))[3 + m // 2 % 3]
+        batches.clear()
+        walk, built = _check_walk(u, budget, batches=batches)
+        assert walk[-1][0] == budget and len(walk) < 7
+        assert [len(batch) for batch in built] == [1, 2, len(walk) - 3]
+
+
+def test_batched_walk_on_non_monic_and_ramified_primes():
+    for text, count in (
+        ("2x^6 - x^2 - 1", 300),  # even, non-monic: 2 divides lc, 5 | disc
+        ("3x^4 + x^2 + 1", 300),  # even, non-monic: 3 divides lc, 11 | disc
+        ("5x^9 - 6x^4 + 7", 60),  # odd, non-monic: 5 divides lc, 3 and 7 | disc
+        ("x^7 - 7x + 3", 60),  # 3 and 7 ramified, between batch members
+        ("x^2 - 15015", 60),  # 2, 3, 5, 7, 11 and 13 ramified: the walk starts at 17
+        ("x^5 - x - 1", 60),  # odd f: q = 2 takes the route s = 1, in a batch of its own
+    ):
+        walk, _ = _check_walk(parse_poly(text), count=count)
+        assert len(walk) == count
+    # an even f is a square mod 2 (g(x^2) = g(x)^2 over F_2), so q = 2 never
+    # reaches its walk: route s = 1 at q = 2 arises for odd f only
+    for text in ("x^10 - x^2 - 1", "3x^4 + x^2 + 1", "x^6 + x^4 - 2x^2 + 5"):
+        assert reduce_and_factor_degrees(parse_poly(text), 2) is RAMIFIED
+
+
+def test_batched_walk_prefix_agrees_with_sympy():
+    pytest.importorskip("sympy")
+    for text in ("x^10 - x^2 - 1", "x^14 - x^2 - 1", "2x^6 - x^2 - 1", "5x^9 - 6x^4 + 7"):
+        f = parse_poly(text)
+        for q, ct in itertools.islice(unramified_factor_degrees(f, discriminant(f)), 12):
+            assert ct == _sympy_factor_degrees(f, q), (text, q)
