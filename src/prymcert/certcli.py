@@ -24,6 +24,8 @@ from .galoiscert import (
     SCHEMA_VERSION,
     TOOL_NAME,
     TOOL_VERSION,
+    DET_MIN_M,
+    canonical_json as _canonical,
     certify_prym,
     certify_wdm_over_Q,
     chebotarev_verdict,
@@ -82,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples=True):
-        sp.add_argument("--samples", type=int, default=2000)
+    def common(sp):
+        sp.add_argument("--samples", type=_positive_int, default=2000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--prime-budget", type=_positive_int, default=500)
 
@@ -127,10 +129,6 @@ def _emit(doc_text: str, output: str | None) -> None:
             raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(doc_text)
-
-
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +196,7 @@ def cmd_scan(args) -> int:
                     "cond1_r_mod": cond.shortcut_r_mod,
                     "cond2_small": cond.shortcut_small,
                     "cond3_pass": cond.passed,
-                    "det_eligible": m >= 9,
+                    "det_eligible": m >= DET_MIN_M,
                     "dim_prym": dim_prym(p, m),
                 }
             )
@@ -368,10 +366,7 @@ def main(argv=None) -> int:
         if args.command == "galois":
             return cmd_galois(args)
         return cmd_invariants(args)
-    except UsageError as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

@@ -22,6 +22,9 @@ O(#gens . dim^2).  Otherwise it is the exact null space of the stacked
 commutation constraints, which also serves the tests as the reference.  The
 orbit-counting rule for transitive permutation modules is computed
 independently as a cross-check, never assumed.
+
+The F_2 heart (the sum-zero part of F_2^m, m odd) is proved irreducible
+under A_m and S_m for every odd m by `_heart_is_irreducible`.
 """
 
 from __future__ import annotations
@@ -446,37 +449,43 @@ def _spin_dimension_f2(v: int, gens: list[tuple[int, ...]]) -> int:
     return len(basis)
 
 
+def _heart_is_irreducible(m: int) -> bool:
+    """Irreducibility of the sum-zero F_2-module of A_m, for any odd m >= 3.
+
+    A nonzero submodule holds some v_w = e_1 + ... + e_w, w even, as A_m is
+    transitive on w-subsets.  For w >= 4 the 3-cycle 1 -> w+1 -> 2 -> 1 adds
+    e_2 + e_(w+1) to v_w (checked below), so every nonzero submodule holds a
+    weight-2 vector: one spin of e_1 + e_2 to dimension m - 1 then suffices.
+    """
+    three = tuple([1, 2, 0] + list(range(3, m)))
+    full = tuple((i + 1) % m for i in range(m))  # m odd: the m-cycle is even
+    if _spin_dimension_f2(0b11, [three, full]) != m - 1:
+        return False
+    for w in range(4, m, 2):
+        g = list(range(m))
+        g[0], g[w], g[1] = w, 1, 0  # the 3-cycle 1 -> w+1 -> 2 -> 1, 0-based
+        v = (1 << w) - 1
+        if v ^ _apply_perm_to_mask(v, g) != 0b10 | 1 << w:
+            return False
+    return True
+
+
 def heart_f2_irreducible(m: int, group: str = "A_m") -> bool:
     """Irreducibility of the sum-zero subspace of F_2^m under A_m or S_m.
 
     For odd m the heart of the natural permutation module over F_2 is the
-    even-weight (sum-zero) subspace, of dimension m - 1.  Decided by
-    spinning: the module is irreducible iff every nonzero vector generates
-    everything, and by transitivity on supports it is enough to spin one
-    vector of each even weight.
+    even-weight (sum-zero) subspace, of dimension m - 1.  An S_m-submodule
+    is an A_m-submodule, so `_heart_is_irreducible` (which the pipeline calls
+    for every m) decides both.  The range 3 <= m <= 13 is a kept contract,
+    not a cost limit.
     """
     if m % 2 == 0:
         raise ValueError("even m puts the all-ones vector in the sum-zero space")
     if not 3 <= m <= 13:
-        raise ValueError(f"spinning budget covers 3 <= m <= 13, got {m}")
+        raise ValueError(f"heart_f2_irreducible covers 3 <= m <= 13, got {m}")
     if group not in ("A_m", "S_m"):
         raise ValueError(f"group must be 'A_m' or 'S_m', got {group!r}")
-    if group == "A_m" and m == 3:
-        gens = [(1, 2, 0)]
-    elif group == "A_m":
-        three = tuple([1, 2, 0] + list(range(3, m)))
-        full = tuple((i + 1) % m for i in range(m))  # m odd: the m-cycle is even
-        gens = [three, full]
-    else:
-        swap = tuple([1, 0] + list(range(2, m)))
-        full = tuple((i + 1) % m for i in range(m))
-        gens = [swap, full]
-    target = m - 1
-    for weight in range(2, m, 2):
-        v = (1 << weight) - 1
-        if _spin_dimension_f2(v, gens) != target:
-            return False
-    return True
+    return _heart_is_irreducible(m)
 
 
 def lambda_rank_check(p: int, m: int) -> bool:

@@ -54,7 +54,7 @@ from .intpoly import (
     trinomial,
     unramified_factor_degrees,
 )
-from .fpmodule import commutant_dim, heart_f2_irreducible, odd_space
+from .fpmodule import _heart_is_irreducible, commutant_dim, odd_space
 from .prymcalc import (
     FamilyParams,
     dim_prym,
@@ -82,8 +82,13 @@ PROBABILISTIC = "Probabilistic"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
 
-# spinning budget of heart_f2_irreducible
-_HEART_MAX_M = 13
+# the smallest m for which the deterministic chain over Q applies
+DET_MIN_M = 9
+
+
+def canonical_json(doc) -> str:
+    """The canonical text of a JSON document: sorted keys, indent 2, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class Containment(enum.Enum):
@@ -138,7 +143,7 @@ class Certificate(Record, frozen=False):
         }
 
     def canonical(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_json())
 
 
 class SamplingReport(Record, frozen=False):
@@ -393,13 +398,14 @@ def certify_wdm_over_Q(
 ) -> Certificate:
     """Certify Gal(u(x^2)/Q) = W(D_m) for u = x^m - x - c.
 
-    For m >= 9 and c an odd perfect square the verdict is Deterministic via
-    the full lemma chain (S_m certification for u, irreducibility of the
-    even composite, sign containment, the quadratic-subfield and square-root
-    steps, and the 2-group argument).  For m in {3, 5, 7} the chain falls
-    through to cycle-type sampling against the exact W(D_m) census and the
-    verdict is at best Probabilistic.  Failed premises are named; the
-    containment test can refute the claim outright.
+    For m >= DET_MIN_M and c an odd perfect square the verdict is
+    Deterministic via the full lemma chain (S_m certification for u,
+    irreducibility of the even composite, sign containment, the
+    quadratic-subfield and square-root steps, and the 2-group argument).
+    For m in {3, 5, 7} the chain falls through to cycle-type sampling
+    against the exact W(D_m) census and the verdict is at best
+    Probabilistic.  Failed premises are named; the containment test can
+    refute the claim outright.
     """
     _validate_odd(m, c)
     u = trinomial(m, c)
@@ -436,7 +442,7 @@ def certify_wdm_over_Q(
             },
         )
 
-    if m >= 9:
+    if m >= DET_MIN_M:
         return _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim)
 
     # m in {3, 5, 7}: sampling fallback
@@ -478,7 +484,7 @@ def certify_wdm_over_Q(
         steps,
         PROBABILISTIC,
         {"sampling": report.to_json(),
-         "reason": f"m = {m} < 9: the deterministic chain does not apply"},
+         "reason": f"m = {m} < {DET_MIN_M}: the deterministic chain does not apply"},
         claims=[{"statement": claim, "checked": False, "via": "ChebotarevVerdict"}],
     )
 
@@ -569,26 +575,14 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
             conclusion="no square root of a root of u lies in the splitting "
             "field of u; the splitting fields of u and u(x^2) differ",
             premises=[
-                _prem("m odd and >= 9", m),
+                _prem(f"m odd and >= {DET_MIN_M}", m),
                 _prem("2m < m(m-1)/2, so A_m has no subgroup of index 2m", True),
             ],
         )
     )
-    if m <= _HEART_MAX_M:
-        heart = heart_f2_irreducible(m, "A_m")
-        heart_premise = _prem(
-            "sum-zero F_2-module of A_m is irreducible (spun exhaustively)", heart
-        )
-        if not heart:
-            return cert(
-                steps,
-                INCONCLUSIVE,
-                {"failed_premise": "heart irreducibility over F_2"},
-            )
-    else:
-        heart_premise = _prem(
-            "sum-zero F_2-module of A_m is irreducible", "cited (beyond spinning budget)"
-        )
+    heart = _heart_is_irreducible(m)
+    if not heart:
+        return cert(steps, INCONCLUSIVE, {"failed_premise": "heart irreducibility over F_2"})
     steps.append(
         RuleStep(
             rule="TwoGroup",
@@ -597,7 +591,8 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
                 _prem("c is a square in Q", True),
                 _prem("Gal(u(x^2)/Q) contained in W(D_m)", True),
                 _prem("kernel of the sign projection is nontrivial", True),
-                heart_premise,
+                _prem("sum-zero F_2-module of A_m is irreducible (weight-2 spin "
+                      "and one 3-cycle per even weight)", heart),
                 _prem("Gal(u/Q) = S_m", True),
             ],
         )
@@ -697,14 +692,14 @@ def certify_prym(
     """Full pipeline for the family member (p, r, c=1).
 
     Establishes Gal(u(x^2) / Q(zeta_p)) = W(D_m) (deterministically for
-    m >= 9, by sampling for m in {5, 7}), then checks every arithmetic
-    premise of the endomorphism-ring and non-jacobian conclusions: r even,
-    double transitivity of S_m, the normal-subgroup index condition, the
-    eigenvalue multiplicity table (distinct, coprime, summing to dim Prym),
-    the exact non-jacobian inequality, and the one-dimensionality of the
-    commutant of W(D_m) on the odd function space mod p.  The geometric
-    conclusions are attached as attributed claims, never as locally proved
-    facts.
+    m >= DET_MIN_M, by sampling for m = 5, the only smaller m with r even),
+    then checks every arithmetic premise of the endomorphism-ring and
+    non-jacobian conclusions: r even, double transitivity of S_m, the
+    normal-subgroup index condition, the eigenvalue multiplicity table
+    (distinct, coprime, summing to dim Prym), the exact non-jacobian
+    inequality, and the one-dimensionality of the commutant of W(D_m) on the
+    odd function space mod p.  The geometric conclusions are attached as
+    attributed claims, never as locally proved facts.
     """
     family = FamilyParams(p, r, 1)  # validates p, r
     m = family.m
@@ -897,4 +892,4 @@ _REPLAY_KEYS = {
 def verify_replay(doc: dict) -> bool:
     """Whether recomputing every leaf reproduces the document bit for bit."""
     fresh = replay(doc)
-    return fresh.canonical() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return fresh.canonical() == canonical_json(doc)

@@ -136,6 +136,13 @@ def test_prime_budget_below_one_is_usage_error(capsys):
     assert run(["galois", "--m", "9", "--prime-budget", "1"]) == 2
 
 
+def test_samples_below_one_is_usage_error(capsys):
+    for samples in ("0", "-5"):
+        assert run(["verify", "--p", "3", "--r", "4", "--samples", samples]) == 3
+        assert run(["galois", "--m", "9", "--samples", samples]) == 3
+    assert "--samples: must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_numpy():
     # the CLI path is pure Python; numpy is a test-only dependency
     code = "import sys, prymcert.certcli; assert 'numpy' not in sys.modules, 'numpy loaded'"

@@ -23,6 +23,7 @@ from prymcert.fpmodule import (
     vf_space,
 )
 from prymcert.fpmodule import _dense_commutant_dim, _monomial_form, _rank
+from prymcert.fpmodule import _heart_is_irreducible, _spin_dimension_f2
 from prymcert.fpmodule import _solve_in_span
 from prymcert.signedperm import GroupDescriptor, SignedPerm, orbits, roots_h
 
@@ -226,6 +227,31 @@ def test_heart_guards():
         heart_f2_irreducible(15)
     with pytest.raises(ValueError):
         heart_f2_irreducible(5, "D_m")
+
+
+def _heart_generators(m):
+    cycle = tuple((i + 1) % m for i in range(m))
+    three = tuple([1, 2, 0] + list(range(3, m)))  # with the m-cycle: A_m (m odd)
+    swap = tuple([1, 0] + list(range(2, m)))  # with the m-cycle: S_m
+    return [three, cycle], [swap, cycle]
+
+
+def test_heart_proof_matches_the_per_weight_spin():
+    for m in range(3, 32, 2):
+        am, _ = _heart_generators(m)
+        spun = all(
+            _spin_dimension_f2((1 << w) - 1, am) == m - 1 for w in range(2, m, 2)
+        )
+        assert _heart_is_irreducible(m) is spun is True, m
+
+
+def test_heart_proof_matches_brute_force_for_small_m():
+    # every nonzero sum-zero vector generates the whole (m - 1)-dimensional heart
+    for m in (3, 5, 7):
+        even = [v for v in range(1, 1 << m) if bin(v).count("1") % 2 == 0]
+        for gens in _heart_generators(m):
+            brute = all(_spin_dimension_f2(v, gens) == m - 1 for v in even)
+            assert _heart_is_irreducible(m) is brute is True, m
 
 
 def test_lambda_rank_identity():

@@ -167,6 +167,16 @@ def test_probabilistic_never_deterministic_below_nine():
         assert cert.verdict != "Deterministic", (m, c)
 
 
+def test_every_premise_is_computed_with_no_cited_heart():
+    certs = [certify_prym(p, r) for p, r in ((5, 2), (3, 4), (7, 2), (11, 2), (3, 8), (5, 4))]
+    certs += [certify_wdm_over_Q(m, 1) for m in (15, 29)]
+    for cert in certs:
+        values = [(s.rule, pr["fact"], pr["value"]) for s in cert.steps for pr in s.premises]
+        assert not [v for v in values if "cited" in str(v[2])], cert.params
+        heart = [v for rule, fact, v in values if rule == "TwoGroup" and "F_2-module" in fact]
+        assert heart == [True], cert.params
+
+
 def test_refuted_when_containment_fails():
     cert = certify_wdm_over_Q(5, 3, samples=60)
     assert cert.verdict == "Refuted"
