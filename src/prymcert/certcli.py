@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("galois", help="certify or sample the Galois group of an even trinomial")
     g.add_argument("--poly", type=str, default=None, help='e.g. "x^10 - x^2 - 1"')
     g.add_argument("--m", type=int, default=None)
-    g.add_argument("--c", type=int, default=1)
+    g.add_argument("--c", type=int, default=None, help="default 1, with --m")
     g.add_argument("--mode", choices=("certify", "sample"), default="certify")
     common(g)
     g.add_argument("--output", type=str, default=None)
@@ -247,6 +247,8 @@ def cmd_galois(args) -> int:
     if args.poly is None and args.m is None:
         raise UsageError("galois needs either --poly or --m")
     if args.poly is not None:
+        if args.m is not None or args.c is not None:
+            raise UsageError("--poly takes no --m or --c (the polynomial fixes both)")
         try:
             h = parse_poly(args.poly)
         except ValueError as exc:
@@ -257,7 +259,7 @@ def cmd_galois(args) -> int:
     else:
         if args.m < 3 or args.m % 2 == 0:
             raise UsageError("--m must be odd and >= 3")
-        h = compose_x2(trinomial(args.m, args.c))
+        h = compose_x2(trinomial(args.m, 1 if args.c is None else args.c))
         m = args.m
 
     if args.mode == "certify":

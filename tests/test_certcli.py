@@ -102,6 +102,19 @@ def test_galois_usage_errors():
     assert run(["galois", "--m", "4"]) == 3
 
 
+def test_galois_poly_takes_no_m_or_c(capsys):
+    # the polynomial fixes m and c, so a --m or --c beside it is a usage error,
+    # not silently ignored; --c alone defaults to 1 with --m
+    for extra in (["--m", "7"], ["--c", "9"], ["--m", "7", "--c", "9"], ["--m", "5", "--c", "1"]):
+        assert run(["galois", "--poly", "x^10 - x^2 - 1", *extra]) == 3, extra
+    capsys.readouterr()
+    assert run(["galois", "--m", "9"]) == 0
+    implicit = capsys.readouterr().out
+    assert run(["galois", "--m", "9", "--c", "1"]) == 0
+    assert capsys.readouterr().out == implicit
+    assert json.loads(implicit)["config"]["c"] == 1
+
+
 def test_galois_sample_rejects_repeated_factor():
     assert run(["galois", "--m", "3", "--c", "0", "--mode", "sample"]) == 3
     assert run(["galois", "--poly", "x^4", "--mode", "sample", "--samples", "10"]) == 3

@@ -496,6 +496,28 @@ def test_refuted_sampling_stops_at_the_refuting_prime(monkeypatch):
     assert report.to_json() == chebotarev_verdict(h, GroupDescriptor.wdm(7), 20).to_json()
 
 
+def test_sampling_runs_factor_only_primes_up_to_2n(monkeypatch):
+    # the two sampling runs of the benchmark's ddf-mix (m = 5 and 7, 2000
+    # primes): a prime q > 2n = 2m takes its type from the traces of its
+    # batch's Frobenius map, so only the primes q <= 2m reach the DDF kernel.
+    # For m = 7 the batch [11, 13, 17, 19] straddles 2m = 14.
+    requests = _log_factorizations(monkeypatch)
+    original = intpoly._Frobenius
+    batches = []
+
+    def logged(f, batch, s):
+        batches.append(list(batch))
+        return original(f, batch, s)
+
+    monkeypatch.setattr(intpoly, "_Frobenius", logged)
+    for m, small in ((5, [3, 5, 7]), (7, [3, 5, 7, 11, 13])):
+        requests.clear()
+        report = chebotarev_verdict(compose_x2(trinomial(m, 1)), GroupDescriptor.wdm(m), 2000)
+        assert report.consistent and report.samples == 2000
+        assert [(q, s) for _, q, s in requests] == [(q, 2) for q in small]
+    assert [11, 13, 17, 19] in batches
+
+
 def _mutated(doc, mutate):
     doc = json.loads(json.dumps(doc))
     mutate(doc)

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic: oracles first, closed forms second."""
 
+import collections
 import itertools
+import math
 import random
 
 import numpy as np
@@ -795,4 +797,102 @@ def test_batched_walk_prefix_agrees_with_sympy():
     for text in ("x^10 - x^2 - 1", "x^14 - x^2 - 1", "2x^6 - x^2 - 1", "5x^9 - 6x^4 + 7"):
         f = parse_poly(text)
         for q, ct in itertools.islice(unramified_factor_degrees(f, discriminant(f)), 12):
+            assert ct == _sympy_factor_degrees(f, q), (text, q)
+
+
+# ---------------------------------------------------------------------------
+# the trace route: cycle types from traces of the batch's Frobenius map
+# ---------------------------------------------------------------------------
+
+
+def _random_walk_poly(rng, n, s, lc):
+    """A squarefree f = g(x^s), deg g = n, lc(f) = lc, with a ramified prime in (2n, 500)."""
+    while True:
+        g = [rng.randint(-4, 4) for _ in range(n)] + [lc]
+        coeffs = [0] * (s * n + 1)
+        coeffs[::s] = g
+        f = IntPoly(coeffs)
+        if g[0] and (s == 2 or any(coeffs[1::2])) and (disc := discriminant(f)):
+            if any(disc % q == 0 for q in itertools.takewhile(lambda q: q < 500, primes(2 * n + 1))):
+                return f
+
+
+def test_trace_route_matches_the_ddf_kernel_on_random_polynomials():
+    # deg g = 1..12 (the bound), odd and even f, lc 1, 2, 3 and -5 on each side,
+    # and a ramified prime past 2n, which the walk skips inside a batch
+    from prymcert import intpoly
+
+    rng = random.Random(20261019)
+    for n in range(1, intpoly._TRACE_MAX_N + 1):
+        s = 2 if n % 2 else 1
+        f = _random_walk_poly(rng, n, s, (1, 2, 3, -5)[n // 2 % 4])
+        walk, _ = _check_walk(f, count=150)
+        assert len(walk) == 150 and walk[-1][0] > 2 * n
+
+
+def _signed_cycle_types(n, signs):
+    """Every multiset of (degree, sign) with degrees summing to n, each once."""
+    for partition in _partitions(n, n):
+        per_degree = [
+            [[(d, e) for e in chosen] for chosen in itertools.combinations_with_replacement(signs, c)]
+            for d, c in collections.Counter(partition).items()
+        ]
+        for pick in itertools.product(*per_degree):
+            yield tuple(itertools.chain(*pick))
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield ()
+    for d in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - d, d):
+            yield (d, *rest)
+
+
+def test_trace_table_keys_are_distinct_and_decode_every_signed_type():
+    # the key of a signed cycle type is its root counts N_k = sum_(d | k) d c_d,
+    # for s = 2 its twisted traces T_k = sum_(d | k) d e^(k/d), then the product
+    # of the signs; a factor of degree d and sign e of g gives [d] of g (s = 1),
+    # [d, d] of h (e = 1) or [2d] of h (e = -1)
+    from prymcert import intpoly
+
+    for n in range(1, intpoly._TRACE_MAX_N + 1):
+        for s in (1, 2):
+            expected = {}
+            types = list(_signed_cycle_types(n, (1, -1)[:s]))
+            for t in types:
+                ks = range(1, n // 2 + 1)
+                key = [sum(d for d, _ in t if k % d == 0) for k in ks]
+                if s == 2:
+                    key += [sum(d * e ** (k // d) for d, e in t if k % d == 0) for k in ks]
+                key.append(math.prod(e for _, e in t))
+                expected[tuple(key)] = CycleType(
+                    c for d, e in t for c in ([d] if s == 1 else [d, d] if e == 1 else [2 * d])
+                )
+            assert len(expected) == len(types), (n, s)  # no two types share a key
+            assert intpoly._trace_table(n, s) == expected, (n, s)
+
+
+def test_trace_route_raises_on_an_unknown_key(monkeypatch):
+    # a trace vector outside the table is an error, never a guess: the walk of
+    # x^10 - x^2 - 1 (n = 5) yields q = 3, 5, 7 by the DDF kernel, then stops at 11
+    from prymcert import intpoly
+
+    f = parse_poly("x^10 - x^2 - 1")
+    monkeypatch.setattr(intpoly, "_trace_table", lambda n, s: {})
+    walk = unramified_factor_degrees(f, discriminant(f))
+    assert [q for q, _ in itertools.islice(walk, 3)] == [3, 5, 7]
+    with pytest.raises(ArithmeticError, match="at q = 11 is no cycle type of degree 5"):
+        next(walk)
+
+
+def test_trace_route_agrees_with_sympy_past_2n():
+    pytest.importorskip("sympy")
+    for text in ("x^10 - x^2 - 1", "x^14 - x^2 - 1", "2x^6 - x^2 - 1"):
+        f = parse_poly(text)
+        n = f.degree // 2
+        walk = list(itertools.islice(unramified_factor_degrees(f, discriminant(f)), 600))
+        spots = [(q, ct) for q, ct in walk if q > 2 * n][::100]
+        assert len(spots) == 6
+        for q, ct in spots:
             assert ct == _sympy_factor_degrees(f, q), (text, q)
