@@ -6,21 +6,50 @@ mod-p linear algebra over residues, exhaustive group enumeration under an
 explicit budget, and Frobenius cycle-type sampling whose refutations are
 unconditional.  Probabilistic evidence is always labeled as such and never
 silently upgraded.
+
+The package itself holds only the constants shared by the CLI and the
+certificate engine.  Its exports (IntPoly, parse_poly, certify_prym,
+certify_wdm_over_Q, cyclotomic_descent) are resolved on first access
+(PEP 562), so `import prymcert` compiles none of the pipeline modules
+(galoiscert, intpoly, signedperm, fpmodule); a CLI command imports the ones
+it runs.
 """
 
-from .intpoly import IntPoly, parse_poly
-from .galoiscert import (
-    TOOL_VERSION as __version__,
-    certify_prym,
-    certify_wdm_over_Q,
-    cyclotomic_descent,
-)
+import json
 
-__all__ = [
-    "IntPoly",
-    "parse_poly",
-    "certify_prym",
-    "certify_wdm_over_Q",
-    "cyclotomic_descent",
-    "__version__",
-]
+TOOL_NAME = "prymcert"
+TOOL_VERSION = __version__ = "0.1.0"
+SCHEMA_VERSION = "prym-cert/1"
+
+DETERMINISTIC = "Deterministic"
+PROBABILISTIC = "Probabilistic"
+REFUTED = "Refuted"
+INCONCLUSIVE = "Inconclusive"
+
+# the smallest m for which the deterministic chain over Q applies
+DET_MIN_M = 9
+
+
+def canonical_json(doc) -> str:
+    """The canonical text of a JSON document: sorted keys, indent 2, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# export -> the submodule that defines it
+_EXPORTS = {
+    "IntPoly": "intpoly",
+    "parse_poly": "intpoly",
+    "certify_prym": "galoiscert",
+    "certify_wdm_over_Q": "galoiscert",
+    "cyclotomic_descent": "galoiscert",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)

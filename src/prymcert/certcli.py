@@ -5,18 +5,21 @@ document, never computed separately.  Exit codes: 0 = deterministic verdict,
 1 = refuted, 2 = probabilistic or inconclusive, 3 = usage error, including
 an input too large to hold in memory.  Every command is deterministic given
 its flags and seed, and repeated runs emit byte-identical JSON.
+
+Each command imports the modules it runs, after its arguments are parsed:
+`verify` and `galois` load the certificate engine (galoiscert, and through
+it intpoly, signedperm and fpmodule); `scan` and `invariants` load only
+prymcalc; `--version`, `--help` and usage errors load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
-from ._primes import primes
-from .galoiscert import (
+from . import (
+    DET_MIN_M,
     DETERMINISTIC,
     INCONCLUSIVE,
     PROBABILISTIC,
@@ -24,23 +27,8 @@ from .galoiscert import (
     SCHEMA_VERSION,
     TOOL_NAME,
     TOOL_VERSION,
-    DET_MIN_M,
     canonical_json as _canonical,
-    certify_prym,
-    certify_wdm_over_Q,
-    chebotarev_verdict,
 )
-from .intpoly import compose_x2, condition_p_r, parse_poly, trinomial
-from .prymcalc import (
-    FamilyParams,
-    dim_prym,
-    genus_curve,
-    multiplicities_coprime,
-    multiplicities_distinct,
-    multiplicity_table,
-    non_jacobian_inequality,
-)
-from .signedperm import GroupDescriptor
 
 EXIT_DETERMINISTIC = 0
 EXIT_REFUTED = 1
@@ -137,6 +125,8 @@ def _emit(doc_text: str, output: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .galoiscert import certify_prym
+
     cert = certify_prym(args.p, args.r, args.samples, args.seed, args.prime_budget)
     doc = cert.to_json()
     text = _canonical(doc) if args.format == "json" else _render_certificate(doc)
@@ -181,6 +171,9 @@ def _render_certificate(doc: dict) -> str:
 def cmd_scan(args) -> int:
     if args.p_max < 3 or args.r_max < 2:
         raise UsageError("scan needs --p-max >= 3 (the smallest odd prime) and --r-max >= 2")
+    from ._primes import primes
+    from .prymcalc import condition_p_r, dim_prym
+
     rows = []
     for p in primes(3):
         if p > args.p_max:
@@ -204,6 +197,9 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         text = _canonical(doc)
     elif args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -244,6 +240,10 @@ def _family_shape(h) -> tuple[int, int] | None:
 
 
 def cmd_galois(args) -> int:
+    from .galoiscert import certify_wdm_over_Q, chebotarev_verdict
+    from .intpoly import compose_x2, parse_poly, trinomial
+    from .signedperm import GroupDescriptor
+
     if args.poly is None and args.m is None:
         raise UsageError("galois needs either --poly or --m")
     if args.poly is not None:
@@ -315,6 +315,16 @@ def cmd_galois(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .prymcalc import (
+        FamilyParams,
+        dim_prym,
+        genus_curve,
+        multiplicities_coprime,
+        multiplicities_distinct,
+        multiplicity_table,
+        non_jacobian_inequality,
+    )
+
     family = FamilyParams(args.p, args.r)  # validates; ValueError -> exit 3
     p, r, m, n = family.p, family.r, family.m, family.n
     table = multiplicity_table(p, r)

@@ -28,10 +28,20 @@ Certificate JSON schema "prym-cert/1":
 from __future__ import annotations
 
 import enum
-import json
 import random
 from itertools import islice
 
+from . import (  # the shared constants, re-exported
+    DET_MIN_M,
+    DETERMINISTIC,
+    INCONCLUSIVE,
+    PROBABILISTIC,
+    REFUTED,
+    SCHEMA_VERSION,
+    TOOL_NAME,
+    TOOL_VERSION,
+    canonical_json,
+)
 from ._primes import is_prime
 from ._record import Record
 from .intpoly import (
@@ -45,7 +55,6 @@ from .intpoly import (
     _rational_root_factor,
     _validate_odd,
     compose_x2,
-    condition_p_r,
     disc_of_even_composite,
     discriminant,
     format_poly,
@@ -57,6 +66,7 @@ from .intpoly import (
 from .fpmodule import _heart_is_irreducible, commutant_dim, odd_space
 from .prymcalc import (
     FamilyParams,
+    condition_p_r,
     dim_prym,
     multiplicities_coprime,
     multiplicities_distinct,
@@ -72,24 +82,6 @@ from .signedperm import (
     sm_normal_index_condition,
     transitivity_degree,
 )
-
-TOOL_NAME = "prymcert"
-TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = "prym-cert/1"
-
-DETERMINISTIC = "Deterministic"
-PROBABILISTIC = "Probabilistic"
-REFUTED = "Refuted"
-INCONCLUSIVE = "Inconclusive"
-
-# the smallest m for which the deterministic chain over Q applies
-DET_MIN_M = 9
-
-
-def canonical_json(doc) -> str:
-    """The canonical text of a JSON document: sorted keys, indent 2, final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
 
 class Containment(enum.Enum):
     """Outcome of the sign-group containment test."""
@@ -508,12 +500,11 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
         # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0,
         # so its verdict is Reducible(linear factor) or Inconclusive
         linear = _rational_root_factor(u)
-        return cert(
-            steps,
-            INCONCLUSIVE,
-            {"failed_premise": "u is irreducible over Q",
-             "detail": repr(Inconclusive() if linear is None else Reducible(linear))},
-        )
+        detail = {"failed_premise": "u is irreducible over Q",
+                  "detail": repr(Inconclusive() if linear is None else Reducible(linear))}
+        if linear is None:
+            detail["prime_budget"] = prime_budget  # walked out with no witness
+        return cert(steps, INCONCLUSIVE, detail)
     if is_square(disc_u):
         return cert(
             steps, INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"}

@@ -70,6 +70,7 @@ from itertools import islice, takewhile
 from ._primes import is_prime, primes
 from ._record import Record
 from .prymcalc import FamilyParams
+from .prymcalc import ConditionPR, condition_p_r  # re-exported; their home is prymcalc
 
 __all__ = [
     "IntPoly",
@@ -744,8 +745,9 @@ class _Frobenius:
         for k in range(1, count + 1):
             x = self.iterate(k)
             total = b[0]
-            for b_i in b[1:]:
-                total = [(c + d) % modulus for c, d in zip(mulmod(total, x), b_i)]
+            for j, b_i in enumerate(b[1:]):
+                # the chain starts at X_k + b_(n-2): b_(n-1) X_k = X_k needs no product
+                total = [(c + d) % modulus for c, d in zip(mulmod(total, x) if j else x, b_i)]
             sums.append(total)
         traces = [total[n - 1] for total in sums]
         if self.s == 2:
@@ -1038,39 +1040,3 @@ def _composite_rule(u: IntPoly, irreducibility):
         ("u irreducible over Q (witness prime)", verdict.witness),
     )
     return Certified(premises)
-
-
-# ---------------------------------------------------------------------------
-# the descent condition on (p, r)
-# ---------------------------------------------------------------------------
-
-
-class ConditionPR(Record):
-    """Result of the (1 + 2^(r-2)) mod p test with its shortcut flags."""
-
-    p: int
-    r: int
-    residue: int
-    passed: bool
-    shortcut_r_mod: bool  # r = 2 (mod p-1)
-    shortcut_small: bool  # 2^(r-2) < p-1
-
-
-def condition_p_r(p: int, r: int) -> ConditionPR:
-    """Whether p does not divide 1 + 2^(r-2), with the two shortcut criteria.
-
-    Shortcut (1): r = 2 (mod p-1) forces residue 2 by Fermat.  Shortcut (2):
-    2^(r-2) < p - 1 keeps the value strictly between 1 and p.  Either
-    shortcut implies a pass, which is asserted.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    residue = (1 + pow(2, r - 2, p)) % p
-    passed = residue != 0
-    shortcut_r_mod = (r - 2) % (p - 1) == 0
-    # r - 2 > bitlength(p) makes 2^(r-2) > p, so the power is never materialized
-    shortcut_small = r - 2 <= p.bit_length() and 2 ** (r - 2) < p - 1
-    assert not (shortcut_r_mod or shortcut_small) or passed
-    return ConditionPR(p, r, residue, passed, shortcut_r_mod, shortcut_small)

@@ -8,7 +8,8 @@ zeta_p^(-j), and the order-2 automorphism with eigenvalue (-1)^(i+1-j); the
 anti-invariant forms are exactly those with i and j of the same parity.  This
 module enumerates that basis, tabulates the eigenvalue multiplicities on the
 anti-invariant part (rj for even j, rj - 1 for odd j), and evaluates the
-gcd/distinctness/inequality facts consumed by the certificate engine.
+gcd/distinctness/inequality facts consumed by the certificate engine, and
+the descent condition on (p, r) that `scan` tabulates (condition_p_r).
 
 All comparisons are exact: integers only, never floats.
 """
@@ -155,3 +156,34 @@ def non_jacobian_inequality(p: int, r: int) -> bool:
     """
     d = dim_prym(p, p * r - 1)
     return (r - 1) * p * (p - 1) < 2 * d - (p - 2) * (p - 1)
+
+
+class ConditionPR(Record):
+    """Result of the (1 + 2^(r-2)) mod p test with its shortcut flags."""
+
+    p: int
+    r: int
+    residue: int
+    passed: bool
+    shortcut_r_mod: bool  # r = 2 (mod p-1)
+    shortcut_small: bool  # 2^(r-2) < p-1
+
+
+def condition_p_r(p: int, r: int) -> ConditionPR:
+    """Whether p does not divide 1 + 2^(r-2), with the two shortcut criteria.
+
+    Shortcut (1): r = 2 (mod p-1) forces residue 2 by Fermat.  Shortcut (2):
+    2^(r-2) < p - 1 keeps the value strictly between 1 and p.  Either
+    shortcut implies a pass, which is asserted.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
+    residue = (1 + pow(2, r - 2, p)) % p
+    passed = residue != 0
+    shortcut_r_mod = (r - 2) % (p - 1) == 0
+    # r - 2 > bitlength(p) makes 2^(r-2) > p, so the power is never materialized
+    shortcut_small = r - 2 <= p.bit_length() and 2 ** (r - 2) < p - 1
+    assert not (shortcut_r_mod or shortcut_small) or passed
+    return ConditionPR(p, r, residue, passed, shortcut_r_mod, shortcut_small)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import prymcert
 from prymcert.certcli import main
 
@@ -236,3 +238,79 @@ def test_census_budget_names_an_order_too_long_for_decimal(capsys):
     )
     order = GroupDescriptor.wdm(2001).order()
     assert 10**6340 <= order < 10**6341
+
+
+def test_commands_load_only_the_modules_they_run():
+    # start-up compiles what it imports: the package and the CLI load no
+    # pipeline module, and neither do the commands that need none; verify
+    # loads all four
+    pipeline = ("galoiscert", "intpoly", "signedperm", "fpmodule")
+    runs = [
+        [],  # the import alone
+        ["--version"],
+        ["--help"],
+        ["verify", "--p", "3"],  # usage error: --r is missing
+        ["invariants", "--p", "3", "--r", "2"],
+        ["scan", "--p-max", "5", "--r-max", "4"],
+        ["verify", "--p", "5", "--r", "2"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from prymcert.certcli import main\n"
+        "loaded = []\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            if argv:\n"
+        "                main(argv)\n"
+        "        except SystemExit:  # --version and --help exit from argparse\n"
+        "            pass\n"
+        f"    loaded.append([n for n in {pipeline!r} if 'prymcert.' + n in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = str(Path(prymcert.__file__).resolve().parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr.decode()
+    loaded = dict(zip((" ".join(argv) for argv in runs), json.loads(res.stdout)))
+    assert loaded == {
+        **{" ".join(argv): [] for argv in runs[:-1]},
+        "verify --p 5 --r 2": list(pipeline),
+    }
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    from prymcert import galoiscert, intpoly
+
+    home = {
+        "IntPoly": intpoly,
+        "parse_poly": intpoly,
+        "certify_prym": galoiscert,
+        "certify_wdm_over_Q": galoiscert,
+        "cyclotomic_descent": galoiscert,
+    }
+    assert sorted(prymcert.__all__) == sorted([*home, "__version__"])
+    for name, module in home.items():
+        assert getattr(prymcert, name) is getattr(module, name), name
+    assert prymcert.__version__ == "0.1.0" == galoiscert.TOOL_VERSION
+    with pytest.raises(AttributeError, match="no_such_name"):
+        prymcert.no_such_name
+
+
+def test_inconclusive_irreducibility_names_the_prime_budget(tmp_path):
+    # no prime <= 500 has x^55 - x - 1 irreducible mod q: the detail names the
+    # budget that ran out, through certify_prym too, and keeps its verdict repr
+    out = tmp_path / "c.json"
+    for args in (["galois", "--m", "55"], ["verify", "--p", "7", "--r", "8"]):
+        assert run([*args, "--output", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == {
+            "kind": "Inconclusive",
+            "detail": {
+                "failed_premise": "u is irreducible over Q",
+                "detail": "Inconclusive()",
+                "prime_budget": 500,
+            },
+        }, args
+    assert run(["galois", "--m", "55", "--prime-budget", "100", "--output", str(out)]) == 2
+    assert json.loads(out.read_text())["verdict"]["detail"]["prime_budget"] == 100
