@@ -6,10 +6,11 @@ document, never computed separately.  Exit codes: 0 = deterministic verdict,
 an input too large to hold in memory.  Every command is deterministic given
 its flags and seed, and repeated runs emit byte-identical JSON.
 
-Each command imports the modules it runs, after its arguments are parsed:
-`verify` and `galois` load the certificate engine (galoiscert, and through
-it intpoly, signedperm and fpmodule); `scan` and `invariants` load only
-prymcalc; `--version`, `--help` and usage errors load none of them.
+Each command imports the modules it runs, after its arguments are parsed
+and checked: `verify` and `galois` load the certificate engine (galoiscert,
+and through it intpoly, signedperm and fpmodule); `scan` and `invariants`
+load only prymcalc; `--version`, `--help` and argument errors load none of
+them, except that `galois --poly` reads its polynomial with intpoly.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def _emit(doc_text: str, output: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .prymcalc import FamilyParams
+
+    FamilyParams(args.p, args.r)  # validates before the engine loads; ValueError -> exit 3
     from .galoiscert import certify_prym
 
     cert = certify_prym(args.p, args.r, args.samples, args.seed, args.prime_budget)
@@ -144,6 +148,8 @@ def _render_certificate(doc: dict) -> str:
     detail = doc["verdict"]["detail"]
     if "failed_premise" in detail:
         lines.append(f"failed premise: {detail['failed_premise']}")
+    if "prime_budget" in detail:
+        lines.append(f"prime budget exhausted: {detail['prime_budget']}")
     if "sampling" in detail:
         samp = detail["sampling"]
         lines.append(
@@ -240,15 +246,13 @@ def _family_shape(h) -> tuple[int, int] | None:
 
 
 def cmd_galois(args) -> int:
-    from .galoiscert import certify_wdm_over_Q, chebotarev_verdict
-    from .intpoly import compose_x2, parse_poly, trinomial
-    from .signedperm import GroupDescriptor
-
     if args.poly is None and args.m is None:
         raise UsageError("galois needs either --poly or --m")
     if args.poly is not None:
         if args.m is not None or args.c is not None:
             raise UsageError("--poly takes no --m or --c (the polynomial fixes both)")
+        from .intpoly import parse_poly
+
         try:
             h = parse_poly(args.poly)
         except ValueError as exc:
@@ -259,6 +263,8 @@ def cmd_galois(args) -> int:
     else:
         if args.m < 3 or args.m % 2 == 0:
             raise UsageError("--m must be odd and >= 3")
+        from .intpoly import compose_x2, trinomial
+
         h = compose_x2(trinomial(args.m, 1 if args.c is None else args.c))
         m = args.m
 
@@ -269,6 +275,8 @@ def cmd_galois(args) -> int:
                 "certify mode needs the family shape x^(2m) - x^2 - c "
                 "(pass --m/--c or a matching --poly)"
             )
+        from .galoiscert import certify_wdm_over_Q
+
         cert = certify_wdm_over_Q(
             shape[0], shape[1], args.samples, args.seed, args.prime_budget
         )
@@ -276,6 +284,9 @@ def cmd_galois(args) -> int:
         text = _canonical(doc) if args.format == "json" else _render_certificate(doc)
         _emit(text, args.output)
         return _VERDICT_EXIT[cert.verdict]
+
+    from .galoiscert import chebotarev_verdict
+    from .signedperm import GroupDescriptor
 
     report = chebotarev_verdict(h, GroupDescriptor.wdm(m), args.samples, args.seed)
     doc = {

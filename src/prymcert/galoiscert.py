@@ -513,8 +513,8 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
         return cert(
             steps,
             INCONCLUSIVE,
-            {"failed_premise": "a qualifying prime-length cycle was observed "
-             f"within the prime budget {prime_budget}"},
+            {"failed_premise": "a qualifying prime-length cycle was observed",
+             "prime_budget": prime_budget},
         )
     q_cycle, sm = jordan
     steps.insert(

@@ -242,17 +242,24 @@ def test_census_budget_names_an_order_too_long_for_decimal(capsys):
 
 def test_commands_load_only_the_modules_they_run():
     # start-up compiles what it imports: the package and the CLI load no
-    # pipeline module, and neither do the commands that need none; verify
-    # loads all four
+    # pipeline module, and neither do argument errors or the commands that
+    # need none; verify and galois load all four, and no run loads numpy or
+    # the standard modules the program avoids
     pipeline = ("galoiscert", "intpoly", "signedperm", "fpmodule")
+    unwanted = ("numpy", "dataclasses", "inspect", "fractions", "decimal")
     runs = [
         [],  # the import alone
         ["--version"],
         ["--help"],
         ["verify", "--p", "3"],  # usage error: --r is missing
+        ["verify", "--p", "4", "--r", "2"],  # p is not prime
+        ["galois"],  # neither --poly nor --m
+        ["galois", "--m", "4"],
+        ["galois", "--poly", "x^6 - x^2 - 1", "--m", "3"],
         ["invariants", "--p", "3", "--r", "2"],
         ["scan", "--p-max", "5", "--r-max", "4"],
         ["verify", "--p", "5", "--r", "2"],
+        ["galois", "--m", "7", "--mode", "sample", "--samples", "100"],
     ]
     code = (
         "import contextlib, io, json, sys\n"
@@ -266,17 +273,20 @@ def test_commands_load_only_the_modules_they_run():
         "        except SystemExit:  # --version and --help exit from argparse\n"
         "            pass\n"
         f"    loaded.append([n for n in {pipeline!r} if 'prymcert.' + n in sys.modules])\n"
-        "print(json.dumps(loaded))\n"
+        f"print(json.dumps([loaded, sorted(set({unwanted!r}) & set(sys.modules))]))\n"
     )
     src = str(Path(prymcert.__file__).resolve().parents[1])  # the package under test
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert res.returncode == 0, res.stderr.decode()
-    loaded = dict(zip((" ".join(argv) for argv in runs), json.loads(res.stdout)))
+    loaded, unwanted_loaded = json.loads(res.stdout)
+    loaded = dict(zip((" ".join(argv) for argv in runs), loaded))
     assert loaded == {
-        **{" ".join(argv): [] for argv in runs[:-1]},
+        **{" ".join(argv): [] for argv in runs[:-2]},
         "verify --p 5 --r 2": list(pipeline),
+        "galois --m 7 --mode sample --samples 100": list(pipeline),
     }
+    assert unwanted_loaded == []
 
 
 def test_package_exports_resolve_to_their_home_modules():
@@ -314,3 +324,21 @@ def test_inconclusive_irreducibility_names_the_prime_budget(tmp_path):
         }, args
     assert run(["galois", "--m", "55", "--prime-budget", "100", "--output", str(out)]) == 2
     assert json.loads(out.read_text())["verdict"]["detail"]["prime_budget"] == 100
+
+
+def test_missing_jordan_prime_names_the_prime_budget(tmp_path, capsys):
+    # x^13 - x - 1 has a witness prime below 17 but no qualifying
+    # prime-length cycle: the budget is a key, as for the irreducibility walk
+    out = tmp_path / "c.json"
+    assert run(["galois", "--m", "13", "--prime-budget", "17", "--output", str(out)]) == 2
+    assert json.loads(out.read_text())["verdict"] == {
+        "kind": "Inconclusive",
+        "detail": {
+            "failed_premise": "a qualifying prime-length cycle was observed",
+            "prime_budget": 17,
+        },
+    }
+    assert run(["galois", "--m", "13", "--prime-budget", "17", "--format", "text"]) == 2
+    text = capsys.readouterr().out
+    assert "failed premise: a qualifying prime-length cycle was observed\n" in text
+    assert "prime budget exhausted: 17\n" in text
