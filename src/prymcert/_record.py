@@ -3,9 +3,11 @@
 A subclass lists its fields as class annotations, in order; a class
 attribute of the same name is the field's default, and a list default is
 copied for each instance.  Construction, __post_init__, equality, hashing
-and repr behave as in a dataclass.  Records are frozen (assignment raises
-AttributeError) unless declared with ``frozen=False``.  No code is
-generated, so importing the package loads neither dataclasses nor inspect.
+and repr behave as in a dataclass.  to_json returns the fields by name, as
+a dict in field order; a subclass with another JSON layout overrides it.
+Records are frozen (assignment raises AttributeError) unless declared with
+``frozen=False``.  No code is generated, so importing the package loads
+neither dataclasses nor inspect.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def to_json(self) -> dict:
+        return {name: vars(self)[name] for name in self._fields}
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={vars(self)[name]!r}" for name in self._fields)

@@ -150,6 +150,8 @@ def _render_certificate(doc: dict) -> str:
         lines.append(f"failed premise: {detail['failed_premise']}")
     if "prime_budget" in detail:
         lines.append(f"prime budget exhausted: {detail['prime_budget']}")
+    for key in sorted(detail.keys() - {"failed_premise", "prime_budget", "sampling"}):
+        lines.append(f"{key.replace('_', ' ')}: {detail[key]}")
     if "sampling" in detail:
         samp = detail["sampling"]
         lines.append(

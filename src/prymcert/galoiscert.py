@@ -83,6 +83,19 @@ from .signedperm import (
     transitivity_degree,
 )
 
+# the config keys of each command's document, in its function's argument order:
+# the certify functions emit them and replay reads them back
+_REPLAY_KEYS = {
+    "verify": ("p", "r", "samples", "seed", "prime_budget"),
+    "galois-certify": ("m", "c", "samples", "seed", "prime_budget"),
+}
+_REPLAY_KEYS["galois-descent"] = (*_REPLAY_KEYS["galois-certify"], "p", "r")
+
+
+def _config(command: str, *values) -> dict:
+    return {"command": command, **dict(zip(_REPLAY_KEYS[command], values, strict=True))}
+
+
 class Containment(enum.Enum):
     """Outcome of the sign-group containment test."""
 
@@ -98,13 +111,6 @@ class RuleStep(Record, frozen=False):
     rule: str
     conclusion: str
     premises: list[dict] = []
-
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "premises": self.premises,
-            "conclusion": self.conclusion,
-        }
 
 
 def _prem(fact: str, value) -> dict:
@@ -158,26 +164,13 @@ class SamplingReport(Record, frozen=False):
     prime_range: list[int]
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "group_order": self.group_order,
-            "samples": self.samples,
-            "seed": self.seed,
-            "consistent": self.consistent,
-            "refuting_prime": self.refuting_prime,
-            "refuting_type": self.refuting_type,
-            "classes": self.classes,
-            "chi_square": self.chi_square,
-            "dof": self.dof,
-            "prime_range": self.prime_range,
-            "note": (
-                "consistency is statistical evidence, not proof; "
-                "refutation would be unconditional"
-                if self.consistent
-                else "refutation is unconditional (factor degrees mod q are "
-                "the cycle type of a Frobenius element)"
-            ),
-        }
+        note = (
+            "consistency is statistical evidence, not proof; refutation would be unconditional"
+            if self.consistent
+            else "refutation is unconditional (factor degrees mod q are "
+            "the cycle type of a Frobenius element)"
+        )
+        return {**super().to_json(), "note": note}
 
 
 def find_refutation(types, support) -> CycleType | None:
@@ -324,22 +317,6 @@ def even_containment(
     return Containment.NOT_CONCLUDED
 
 
-def _containment_step(u: IntPoly, m: int, result: Containment) -> RuleStep:
-    v = -u.coeff(0)
-    if result is Containment.CONTAINED:
-        conclusion = f"Gal(u(x^2)/Q) is contained in W(D_{m})"
-    else:
-        conclusion = f"Gal(u(x^2)/Q) is not contained in W(D_{m})"
-    return RuleStep(
-        rule="EvenContainment",
-        conclusion=conclusion,
-        premises=[
-            _prem("-u(0)", v),
-            _prem("-u(0) is a rational square", result is Containment.CONTAINED),
-        ],
-    )
-
-
 def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
     """One walk over the unramified primes <= budget for u's two S_m witnesses.
 
@@ -366,21 +343,6 @@ def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
     return witness, jordan
 
 
-def _irred_x2_step(u: IntPoly, witness: int | None):
-    """The IrredX2 step for u(x^2) from u's irreducibility witness prime (or
-    None), else the composite rule's NotApplicable naming the failed premise."""
-    composite = _composite_rule(
-        u, lambda: Inconclusive() if witness is None else Irreducible(witness)
-    )
-    if not isinstance(composite, Certified):
-        return composite
-    return RuleStep(
-        rule="IrredX2",
-        conclusion=f"{format_poly(compose_x2(u))} is irreducible over Q",
-        premises=[_prem(fact, value) for fact, value in composite.premises],
-    )
-
-
 def certify_wdm_over_Q(
     m: int,
     c: int,
@@ -397,35 +359,32 @@ def certify_wdm_over_Q(
     For m in {3, 5, 7} the chain falls through to cycle-type sampling
     against the exact W(D_m) census and the verdict is at best
     Probabilistic.  Failed premises are named; the containment test can
-    refute the claim outright.
+    refute the claim outright.  Steps are appended in rule order.
     """
     _validate_odd(m, c)
     u = trinomial(m, c)
     h = compose_x2(u)
     claim = f"Gal({format_poly(h)} / Q) = W(D_{m})"
     params = {"p": None, "r": None, "m": m, "n": 2 * m + 1, "c": c}
-    config = {
-        "command": "galois-certify",
-        "m": m,
-        "c": c,
-        "samples": samples,
-        "seed": seed,
-        "prime_budget": prime_budget,
-    }
+    config = _config("galois-certify", m, c, samples, seed, prime_budget)
 
     def cert(steps, verdict, detail, claims=None):
         return Certificate(params, config, claim, steps, verdict, detail, claims or [])
 
-    steps: list[RuleStep] = []
     disc_u = discriminant(u)
     if disc_u == 0:
-        return cert(steps, INCONCLUSIVE, {"failed_premise": "u is squarefree"})
+        return cert([], INCONCLUSIVE, {"failed_premise": "u is squarefree"})
 
-    containment = even_containment(u, disc=disc_u)
-    steps.append(_containment_step(u, m, containment))
-    if containment is Containment.NOT_CONTAINED:
+    # -u(0) = c: every non-square c is refuted here, so c is a square below
+    contained = even_containment(u, disc=disc_u) is Containment.CONTAINED
+    containment = RuleStep(
+        rule="EvenContainment",
+        conclusion=f"Gal(u(x^2)/Q) is {'' if contained else 'not '}contained in W(D_{m})",
+        premises=[_prem("-u(0)", -u.coeff(0)), _prem("-u(0) is a rational square", contained)],
+    )
+    if not contained:
         return cert(
-            steps,
+            [containment],
             REFUTED,
             {
                 "failed_premise": "-u(0) is a square in Q",
@@ -434,68 +393,68 @@ def certify_wdm_over_Q(
             },
         )
 
-    if m >= DET_MIN_M:
-        return _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim)
+    # one walk for both of u's witnesses; IrredX2 serves every m from it
+    witness, jordan = _witness_walk(u, disc_u, prime_budget)
+    composite = _composite_rule(
+        u, lambda: Inconclusive() if witness is None else Irreducible(witness)
+    )
+    irred_x2 = [
+        RuleStep(
+            rule="IrredX2",
+            conclusion=f"{format_poly(h)} is irreducible over Q",
+            premises=[_prem(fact, value) for fact, value in composite.premises],
+        )
+    ] if isinstance(composite, Certified) else []
 
-    # m in {3, 5, 7}: sampling fallback
-    irred_x2 = _irred_x2_step(u, _witness_walk(u, disc_u, prime_budget)[0])
-    if isinstance(irred_x2, RuleStep):
-        steps.append(irred_x2)
-    report = chebotarev_verdict(h, GroupDescriptor.wdm(m), samples, seed)
-    if not report.consistent:
+    if m < DET_MIN_M:  # m in {3, 5, 7}: sampling fallback
+        steps = [containment, *irred_x2]
+        report = chebotarev_verdict(h, GroupDescriptor.wdm(m), samples, seed)
+        if not report.consistent:
+            steps.append(
+                RuleStep(
+                    rule="ChebotarevVerdict",
+                    conclusion=f"cycle type {report.refuting_type} observed at "
+                    f"q = {report.refuting_prime} is impossible in W(D_{m})",
+                    premises=[
+                        _prem("refuting prime", report.refuting_prime),
+                        _prem("refuting cycle type", report.refuting_type),
+                    ],
+                )
+            )
+            return cert(
+                steps,
+                REFUTED,
+                {"failed_premise": "all sampled cycle types possible in W(D_m)",
+                 "sampling": report.to_json()},
+            )
         steps.append(
             RuleStep(
                 rule="ChebotarevVerdict",
-                conclusion=f"cycle type {report.refuting_type} observed at "
-                f"q = {report.refuting_prime} is impossible in W(D_{m})",
+                conclusion=f"all {report.samples} sampled Frobenius cycle types are "
+                f"possible in W(D_{m}) (statistical evidence, not proof)",
                 premises=[
-                    _prem("refuting prime", report.refuting_prime),
-                    _prem("refuting cycle type", report.refuting_type),
+                    _prem("samples", report.samples),
+                    _prem("census classes", len(report.classes)),
+                    _prem("chi_square (advisory)", report.chi_square),
                 ],
             )
         )
         return cert(
             steps,
-            REFUTED,
-            {"failed_premise": "all sampled cycle types possible in W(D_m)",
-             "sampling": report.to_json()},
+            PROBABILISTIC,
+            {"sampling": report.to_json(),
+             "reason": f"m = {m} < {DET_MIN_M}: the deterministic chain does not apply"},
+            [{"statement": claim, "checked": False, "via": "ChebotarevVerdict"}],
         )
-    steps.append(
-        RuleStep(
-            rule="ChebotarevVerdict",
-            conclusion=f"all {report.samples} sampled Frobenius cycle types are "
-            f"possible in W(D_{m}) (statistical evidence, not proof)",
-            premises=[
-                _prem("samples", report.samples),
-                _prem("census classes", len(report.classes)),
-                _prem("chi_square (advisory)", report.chi_square),
-            ],
-        )
-    )
-    return cert(
-        steps,
-        PROBABILISTIC,
-        {"sampling": report.to_json(),
-         "reason": f"m = {m} < {DET_MIN_M}: the deterministic chain does not apply"},
-        claims=[{"statement": claim, "checked": False, "via": "ChebotarevVerdict"}],
-    )
 
-
-def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
+    # m >= DET_MIN_M: the deterministic chain
     side_condition = 2 * m < m * (m - 1) // 2
-
-    if not is_square(c):
-        return cert(
-            steps, INCONCLUSIVE, {"failed_premise": "c is an odd perfect square"}
-        )
     if not side_condition:
         return cert(
-            steps,
+            [containment],
             INCONCLUSIVE,
             {"failed_premise": "2m < m(m-1)/2 (subgroup index side condition)"},
         )
-
-    witness, jordan = _witness_walk(u, disc_u, prime_budget)
     if witness is None:
         # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0,
         # so its verdict is Reducible(linear factor) or Inconclusive
@@ -504,73 +463,63 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
                   "detail": repr(Inconclusive() if linear is None else Reducible(linear))}
         if linear is None:
             detail["prime_budget"] = prime_budget  # walked out with no witness
-        return cert(steps, INCONCLUSIVE, detail)
-    if is_square(disc_u):
-        return cert(
-            steps, INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"}
-        )
+        return cert([containment], INCONCLUSIVE, detail)
+    disc_square = is_square(disc_u)
+    if disc_square:
+        return cert([containment], INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"})
     if jordan is None:
         return cert(
-            steps,
+            [containment],
             INCONCLUSIVE,
             {"failed_premise": "a qualifying prime-length cycle was observed",
              "prime_budget": prime_budget},
         )
     q_cycle, sm = jordan
-    steps.insert(
-        0,
+    is_sm = isinstance(sm, IsSm)
+    steps = [
         RuleStep(
             rule="SmCert",
             conclusion=f"Gal({format_poly(u)} / Q) = S_{m}",
             premises=[
                 _prem("u irreducible over Q (witness prime)", witness),
                 _prem("disc(u)", disc_u),
-                _prem("disc(u) is a square", False),
+                _prem("disc(u) is a square", disc_square),
                 _prem("cycle type observed mod q", list(sm.witness_type)),
                 _prem("witness prime q", q_cycle),
-                _prem(
-                    "prime cycle length L with m/2 < L < m-2 (Jordan)",
-                    sm.cycle_length,
-                ),
+                _prem("prime cycle length L with m/2 < L < m-2 (Jordan)", sm.cycle_length),
             ],
-        ),
-    )
-    irred_x2 = _irred_x2_step(u, witness)
-    if not isinstance(irred_x2, RuleStep):
+        )
+    ]
+    if not irred_x2:
         return cert(
-            steps,
+            [*steps, containment],
             INCONCLUSIVE,
             {"failed_premise": "the composite irreducibility rule applies",
-             "detail": irred_x2.failed},
+             "detail": composite.failed},
         )
-    steps.insert(1, irred_x2)
-    steps.append(
+    steps += [
+        *irred_x2,
+        containment,
         RuleStep(
             rule="IrredDelta",
-            conclusion="u(x^2) is irreducible over the quadratic field "
-            "Q(sqrt(disc(u)))",
+            conclusion="u(x^2) is irreducible over the quadratic field Q(sqrt(disc(u)))",
             premises=[
                 _prem("m odd and >= 7", m),
                 _prem("c odd", c),
-                _prem("Gal(u/Q) = S_m", True),
-                _prem(
-                    "disc(u) odd, so the quadratic field is unramified at 2",
-                    disc_u % 2 != 0,
-                ),
+                _prem("Gal(u/Q) = S_m", is_sm),
+                _prem("disc(u) odd, so the quadratic field is unramified at 2", disc_u % 2 != 0),
             ],
-        )
-    )
-    steps.append(
+        ),
         RuleStep(
             rule="SquareRoot",
             conclusion="no square root of a root of u lies in the splitting "
             "field of u; the splitting fields of u and u(x^2) differ",
             premises=[
                 _prem(f"m odd and >= {DET_MIN_M}", m),
-                _prem("2m < m(m-1)/2, so A_m has no subgroup of index 2m", True),
+                _prem("2m < m(m-1)/2, so A_m has no subgroup of index 2m", side_condition),
             ],
-        )
-    )
+        ),
+    ]
     heart = _heart_is_irreducible(m)
     if not heart:
         return cert(steps, INCONCLUSIVE, {"failed_premise": "heart irreducibility over F_2"})
@@ -579,20 +528,19 @@ def _deterministic_chain(cert, steps, u, m, c, disc_u, prime_budget, claim):
             rule="TwoGroup",
             conclusion=claim,
             premises=[
-                _prem("c is a square in Q", True),
-                _prem("Gal(u(x^2)/Q) contained in W(D_m)", True),
+                _prem("c is a square in Q", contained),
+                _prem("Gal(u(x^2)/Q) contained in W(D_m)", contained),
+                # the one literal premise: no computation backs it yet (a
+                # Frobenius element in the kernel would)
                 _prem("kernel of the sign projection is nontrivial", True),
                 _prem("sum-zero F_2-module of A_m is irreducible (weight-2 spin "
                       "and one 3-cycle per even weight)", heart),
-                _prem("Gal(u/Q) = S_m", True),
+                _prem("Gal(u/Q) = S_m", is_sm),
             ],
         )
     )
     return cert(
-        steps,
-        DETERMINISTIC,
-        {},
-        claims=[{"statement": claim, "checked": True, "via": "TwoGroup"}],
+        steps, DETERMINISTIC, {}, [{"statement": claim, "checked": True, "via": "TwoGroup"}]
     )
 
 
@@ -606,11 +554,8 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
     Q(zeta_p) have coprime ramification, hence are linearly disjoint, and
     the Galois group is unchanged.  A Probabilistic base stays Probabilistic.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    m = p * r - 1
+    family = FamilyParams(p, r)  # validates p, r
+    m = family.m
     if cert_q.params.get("m") != m or cert_q.params.get("c") != 1:
         raise ValueError(
             f"base certificate is for (m={cert_q.params.get('m')}, "
@@ -619,20 +564,22 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
     if cert_q.verdict not in (DETERMINISTIC, PROBABILISTIC):
         raise ValueError("base certificate does not establish the claim over Q")
 
-    u = trinomial(m, 1)
-    h = compose_x2(u)
+    h = compose_x2(trinomial(m, 1))
     cond = condition_p_r(p, r)
     disc_h = discriminant(h)
     assert disc_h == disc_of_even_composite(m, 1), "closed form disagrees with subresultants"
     disc_coprime = disc_h % p != 0
-
-    params = {"p": p, "r": r, "m": m, "n": 2 * m + 1, "c": 1}
-    config = dict(cert_q.config)
-    config.update({"command": "galois-descent", "p": p, "r": r})
     claim = f"Gal({format_poly(h)} / Q(zeta_{p})) = W(D_{m})"
+    if not cond.passed:
+        failed = "condition (3): p does not divide 1 + 2^(r-2)"
+    elif not disc_coprime:
+        failed = "p does not divide disc(u(x^2))"
+    else:
+        failed = None
     step = RuleStep(
         rule="CyclotomicDescent",
-        conclusion=claim,
+        conclusion=claim if failed is None
+        else f"descent to Q(zeta_{p}) refused; the claim over Q is unaffected",
         premises=[
             _prem("(1 + 2^(r-2)) mod p", cond.residue),
             _prem("p does not divide 1 + 2^(r-2) (condition (3))", cond.passed),
@@ -643,34 +590,17 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
             _prem("p does not divide disc(u(x^2))", disc_coprime),
         ],
     )
-    steps = list(cert_q.steps) + [step]
-    if not cond.passed or not disc_coprime:
-        failed = (
-            "condition (3): p does not divide 1 + 2^(r-2)"
-            if not cond.passed
-            else "p does not divide disc(u(x^2))"
-        )
-        step.conclusion = (
-            f"descent to Q(zeta_{p}) refused; the claim over Q is unaffected"
-        )
-        return Certificate(
-            params,
-            config,
-            claim,
-            steps,
-            INCONCLUSIVE,
-            {"failed_premise": failed, "base_verdict": cert_q.verdict},
-            [],
-        )
-    detail = dict(cert_q.verdict_detail)
-    claims = [
-        {
-            "statement": claim,
-            "checked": cert_q.verdict == DETERMINISTIC,
-            "via": "CyclotomicDescent",
-        }
-    ]
-    return Certificate(params, config, claim, steps, cert_q.verdict, detail, claims)
+    if failed is None:
+        verdict, detail = cert_q.verdict, dict(cert_q.verdict_detail)
+        checked = cert_q.verdict == DETERMINISTIC
+        claims = [{"statement": claim, "checked": checked, "via": "CyclotomicDescent"}]
+    else:
+        verdict, detail = INCONCLUSIVE, {"failed_premise": failed, "base_verdict": cert_q.verdict}
+        claims = []
+    config = {**cert_q.config, "command": "galois-descent", "p": p, "r": r}
+    return Certificate(
+        family.to_json(), config, claim, [*cert_q.steps, step], verdict, detail, claims
+    )
 
 
 def certify_prym(
@@ -697,14 +627,7 @@ def certify_prym(
     u = trinomial(m, 1)
     h = compose_x2(u)
     params = family.to_json()
-    config = {
-        "command": "verify",
-        "p": p,
-        "r": r,
-        "samples": samples,
-        "seed": seed,
-        "prime_budget": prime_budget,
-    }
+    config = _config("verify", p, r, samples, seed, prime_budget)
     claim = f"Gal({format_poly(h)} / Q(zeta_{p})) = W(D_{m})"
 
     def cert(steps, verdict, detail, claims=None):
@@ -734,7 +657,7 @@ def certify_prym(
     p_coprime_2m = (2 * m) % p != 0
     cdim = commutant_dim(GroupDescriptor.wdm(m).generators(), odd_space(m, p))
     end_checks = [
-        ("r is even", True, True),
+        ("r is even", r % 2 == 0, True),
         ("S_m is doubly transitive on the roots of u", doubly_transitive, True),
         ("S_m has no proper normal subgroup of index dividing m", normal_ok, True),
         ("p does not divide 2m", p_coprime_2m, True),
@@ -863,21 +786,11 @@ def replay(doc: dict) -> Certificate:
             raise ValueError(
                 f"certificate config {key!r} must be an integer, got {type(cfg[key]).__name__}"
             )
+    args = [cfg[key] for key in keys]
     if command == "verify":
-        return certify_prym(
-            cfg["p"], cfg["r"], cfg["samples"], cfg["seed"], cfg["prime_budget"]
-        )
-    base = certify_wdm_over_Q(
-        cfg["m"], cfg["c"], cfg["samples"], cfg["seed"], cfg["prime_budget"]
-    )
-    return base if command == "galois-certify" else cyclotomic_descent(base, cfg["p"], cfg["r"])
-
-
-_REPLAY_KEYS = {
-    "verify": ("p", "r", "samples", "seed", "prime_budget"),
-    "galois-certify": ("m", "c", "samples", "seed", "prime_budget"),
-    "galois-descent": ("m", "c", "samples", "seed", "prime_budget", "p", "r"),
-}
+        return certify_prym(*args)
+    base = certify_wdm_over_Q(*args[:5])
+    return base if command == "galois-certify" else cyclotomic_descent(base, *args[5:])
 
 
 def verify_replay(doc: dict) -> bool:

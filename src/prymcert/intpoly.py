@@ -135,10 +135,6 @@ class IntPoly:
     def x(cls) -> IntPoly:
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, deg: int, coeff: int = 1) -> IntPoly:
-        return cls((0,) * deg + (coeff,))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -297,7 +293,8 @@ class DiscPair(Record):
 # text format
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"([+-])\s*(\d+)?\s*(\*?\s*x(?:\s*\^\s*(\d+))?)?\s*")
+# ASCII only: Unicode \d would let int() read other scripts' digits
+_TERM_RE = re.compile(r"([+-])\s*(\d+)?\s*(\*?\s*x(?:\s*\^\s*(\d+))?)?\s*", re.ASCII)
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -717,6 +714,7 @@ class _Frobenius:
             rows.append(mulmod(rows[-1], X))
         self.rows = [_pack(row, self.bits) for row in rows]
         self.iterates = [y]  # y^(q^d) mod f, d = 0, 1, ...
+        self.halves = [A]  # B_d = y^((q^d-1)/2) mod f, d = 1, 2, ..., when s = 2
 
     def __call__(self, w: list[int]) -> list[int]:
         """w(X) as n unreduced slots, for w with coefficients in [0, M); w^q mod each q."""
@@ -728,14 +726,21 @@ class _Frobenius:
             self.iterates.append([c % self.modulus for c in self(self.iterates[-1])])
         return self.iterates[d]
 
+    def half(self, d: int) -> list[int]:
+        """B_d = y^((q^d-1)/2) mod f, mod M, stepped as B_(k+1) = B_k^q A (s = 2)."""
+        while len(self.halves) < d:
+            power = [c % self.modulus for c in self(self.halves[-1])]
+            self.halves.append(self.mulmod(power, self.A))
+        return self.halves[d - 1]
+
     def traces(self, count: int) -> list[int]:
         """Tr(Q^k) for k = 1..count, then Tr(B_k Q^k) when s = 2, mod M.
 
-        Q^k maps y^i to X_k^i, X_k = y^(q^k); B_k = y^((q^k-1)/2) steps as
-        B_(k+1) = B_k^q A.  A linear map L of F_q[y]/(f) has trace the
-        coefficient of y^(n-1) in sum_i b_i L(y^i), f(Y) / (Y - y) = sum_i
-        b_i Y^i: the b_i / f'(y) are the dual basis of the y^i under the trace
-        form, which takes z / f'(y) to that coefficient of z (Euler).
+        Q^k maps y^i to X_k^i, X_k = y^(q^k); B_k is half(k).  A linear map L
+        of F_q[y]/(f) has trace the coefficient of y^(n-1) in sum_i b_i L(y^i),
+        f(Y) / (Y - y) = sum_i b_i Y^i: the b_i / f'(y) are the dual basis of
+        the y^i under the trace form, which takes z / f'(y) to that coefficient
+        of z (Euler).
         """
         n, mulmod, modulus = self.n, self.mulmod, self.modulus
         b = [[1] + [0] * (n - 1)]  # b_(n-1), ..., b_0: b_(n-1) = 1, b_i = y b_(i+1) + f_(i+1)
@@ -751,11 +756,7 @@ class _Frobenius:
             sums.append(total)
         traces = [total[n - 1] for total in sums]
         if self.s == 2:
-            power = self.A
-            for k, total in enumerate(sums):
-                if k:
-                    power = mulmod([c % modulus for c in self(power)], self.A)
-                traces.append(mulmod(power, total)[n - 1])
+            traces += [mulmod(self.half(k), total)[n - 1] for k, total in enumerate(sums, 1)]
         return traces
 
 
@@ -776,10 +777,6 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
     frobenius_map = getattr(f, "frobenius", None) or _Frobenius(f, [q], s)
     _, mulmod, _ = _ring(f, q)
 
-    def frobenius(w):
-        """w(X) = w^q mod f."""
-        return [c % q for c in frobenius_map(w)]
-
     def root_is_square(e, c0):
         """Whether a root of an irreducible factor of degree e, constant c0, is a square."""
         return pow(-c0 if e % 2 else c0, (q - 1) // 2, q) == 1
@@ -792,11 +789,9 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
         elif e == d:
             degrees.extend([d, d] if root_is_square(d, part[0]) else [2 * d])
         else:
-            # a root of part lies in F_(q^d), and is a square there iff B_d is 1 at
-            # it; B_d = y^((q^d-1)/2) steps from B_1 = A as B_(k+1) = B_k^q A
-            b = A = [c % q for c in frobenius_map.A]  # y^((q-1)/2)
-            for _ in range(d - 1):
-                b = mulmod(frobenius(b), A)
+            # a root of part lies in F_(q^d), and is a square there iff
+            # B_d = y^((q^d-1)/2) is 1 at it
+            b = [c % q for c in frobenius_map.half(d)]
             squares = len(_fq_gcd([b[0] - 1] + b[1:], part, q)) - 1
             degrees.extend([d] * (2 * squares // d) + [2 * d] * ((e - squares) // d))
 

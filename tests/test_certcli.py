@@ -52,6 +52,33 @@ def test_verify_text_rendering(tmp_path, capsys):
     assert "[TwoGroup]" in text and "[CyclotomicDescent]" in text
 
 
+def test_text_format_prints_every_verdict_detail(tmp_path, capsys):
+    # each top-level key of the JSON verdict detail has its line in the text form
+    cases = [
+        (["verify", "--p", "3", "--r", "3"], "reason: odd r makes m even and every eigenvalue "
+         "multiplicity even"),
+        (["verify", "--p", "5", "--r", "4"], "base verdict: Deterministic"),
+        (["galois", "--m", "11", "--prime-budget", "5"], "detail: Inconclusive()"),
+        (["verify", "--p", "3", "--r", "2", "--samples", "50"],
+         "reason: m = 5 < 9: the deterministic chain does not apply"),
+    ]
+    out = tmp_path / "cert.json"
+    for args, line in cases:
+        assert run([*args, "--output", str(out)]) == 2
+        detail = json.loads(out.read_text())["verdict"]["detail"]
+        assert run([*args, "--format", "text"]) == 2
+        text = capsys.readouterr().out
+        assert f"\n{line}\n" in text, args
+        for key in detail:
+            assert f"\n{key.replace('_', ' ')}" in text, (args, key)
+
+
+def test_galois_rejects_non_ascii_digits(capsys):
+    for poly in ("x^\u0661\u0660 - x^\u0662 - \u0661", "x^2 + \U0001d7d9"):
+        assert run(["galois", "--poly", poly, "--mode", "sample"]) == 3
+        assert "cannot parse polynomial near" in capsys.readouterr().err
+
+
 def test_scan(tmp_path, capsys):
     assert run(["scan", "--p-max", "5", "--r-max", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)

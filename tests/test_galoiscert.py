@@ -13,6 +13,7 @@ import pytest
 import prymcert
 from prymcert import intpoly
 from prymcert.galoiscert import (
+    _REPLAY_KEYS,
     Containment,
     _witness_walk,
     certify_prym,
@@ -231,6 +232,15 @@ def test_descent_preconditions():
         cyclotomic_descent(refuted, 3, 2)
 
 
+def test_descent_validates_p_and_r_as_the_family_does():
+    base = certify_wdm_over_Q(5, 1, samples=60)
+    with pytest.raises(ValueError, match="r must be an integer >= 2, got 1"):
+        cyclotomic_descent(base, 3, 1)
+    with pytest.raises(ValueError, match="p must be an odd prime, got 2"):
+        cyclotomic_descent(base, 2, 3)
+    assert cyclotomic_descent(base, 3, 2).params == {"p": 3, "r": 2, "m": 5, "n": 11, "c": 1}
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
@@ -300,6 +310,28 @@ def test_replay_descent_document():
     ext = cyclotomic_descent(base, 3, 2)
     doc = json.loads(ext.canonical())
     assert verify_replay(doc)
+
+
+def test_replay_reproduces_failure_path_certificates():
+    # the Inconclusive and Refuted documents replay bit for bit, each with
+    # the rules its run applied, and a config of exactly the keys replay reads
+    chain = ["SmCert", "IrredX2", "EvenContainment", "IrredDelta", "SquareRoot", "TwoGroup"]
+    cases = [
+        (lambda: certify_prym(3, 3), "Inconclusive", []),  # r odd
+        (lambda: certify_prym(5, 4), "Inconclusive", [*chain, "CyclotomicDescent"]),
+        (lambda: certify_prym(7, 8), "Inconclusive", ["EvenContainment"]),  # no witness
+        (lambda: certify_wdm_over_Q(9, 3), "Refuted", ["EvenContainment"]),
+        (lambda: certify_wdm_over_Q(11, 1, prime_budget=5), "Inconclusive", ["EvenContainment"]),
+        (lambda: certify_wdm_over_Q(9, 1, prime_budget=3), "Inconclusive", ["EvenContainment"]),
+        (lambda: cyclotomic_descent(certify_wdm_over_Q(19, 1), 5, 4), "Inconclusive",
+         [*chain, "CyclotomicDescent"]),  # 5 divides 1 + 2^2
+    ]
+    for run, verdict, rules in cases:
+        cert = run()
+        assert (cert.verdict, [step.rule for step in cert.steps]) == (verdict, rules)
+        doc = json.loads(cert.canonical())
+        assert set(doc["config"]) == {"command", *_REPLAY_KEYS[doc["config"]["command"]]}
+        assert verify_replay(doc), cert.config
 
 
 def test_replay_detects_tampering():

@@ -73,6 +73,15 @@ def test_parse_format_round_trip():
         parse_poly("")
 
 
+def test_parse_poly_reads_only_ascii_digits():
+    # int() reads the decimal digits of every script; the parser does not
+    for text in ("x^\u0661\u0660 - x^\u0662 - \u0661", "x^2 + \U0001d7d9", "x^2 + \uff13"):
+        with pytest.raises(ValueError, match="cannot parse polynomial near"):
+            parse_poly(text)
+    assert parse_poly("x^10 - x^2 - 1") == compose_x2(trinomial(5, 1))
+    assert parse_poly("\tx^2\n+ 3") == IntPoly((3, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # compose_x2 and family construction
 # ---------------------------------------------------------------------------

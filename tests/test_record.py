@@ -2,7 +2,8 @@
 
 import pytest
 
-from prymcert.galoiscert import Certificate, RuleStep
+from prymcert._record import Record
+from prymcert.galoiscert import Certificate, RuleStep, SamplingReport
 from prymcert.intpoly import (
     CycleType,
     Inconclusive,
@@ -90,3 +91,15 @@ def test_repr_is_the_dataclass_form():
         "GroupDescriptor(kind='TwoM_G', m=3, gens=(SignedPerm(s=(2, 3, 1), eps=(1, 1, 1)),))"
     )
     assert repr(RuleStep("R", "c")) == "RuleStep(rule='R', conclusion='c', premises=[])"
+
+
+def test_to_json_returns_the_fields_by_name():
+    class Pair(Record):
+        a: int
+        b: list = []
+
+    assert Pair(1).to_json() == {"a": 1, "b": []}
+    assert list(Pair(b=[2], a=1).to_json()) == ["a", "b"]
+    assert RuleStep("R", "c").to_json() == {"rule": "R", "conclusion": "c", "premises": []}
+    report = SamplingReport({}, 1, 10, 0, True, None, None, [], 0.0, 0, [3, 37])
+    assert list(report.to_json()) == [*SamplingReport._fields, "note"]
