@@ -1,10 +1,12 @@
 """Command-line front end: verify, scan, galois, invariants.
 
-JSON is the machine interface; the text format is rendered from the JSON
-document, never computed separately.  Exit codes: 0 = deterministic verdict,
-1 = refuted, 2 = probabilistic or inconclusive, 3 = usage error, including
-an input too large to hold in memory.  Every command is deterministic given
-its flags and seed, and repeated runs emit byte-identical JSON.
+Each command returns its JSON document, exit code and renderer; `main`
+writes the document through one output path, as canonical JSON or as
+render(document, format), which reads the document alone (text, or csv for
+`scan`).  Exit codes: 0 = deterministic verdict, 1 = refuted, 2 =
+probabilistic or inconclusive, 3 = usage error, including an input too
+large to hold in memory.  Every command is deterministic given its flags,
+and repeated runs emit byte-identical JSON.
 
 Each command imports the modules it runs, after its arguments are parsed
 and checked: `verify` and `galois` load the certificate engine (galoiscert,
@@ -35,6 +37,8 @@ EXIT_DETERMINISTIC = 0
 EXIT_REFUTED = 1
 EXIT_PROBABILISTIC = 2
 EXIT_USAGE = 3
+
+_PRIME_BUDGET = 500  # --prime-budget when absent (None); sample mode takes none
 
 _VERDICT_EXIT = {
     DETERMINISTIC: EXIT_DETERMINISTIC,
@@ -75,21 +79,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--samples", type=_positive_int, default=2000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--prime-budget", type=_positive_int, default=500)
+        sp.add_argument("--prime-budget", type=_positive_int, default=None)
+
+    def output(sp, run, formats=("json", "text")):
+        """Declare --output and --format, last, and the command's function."""
+        sp.add_argument("--output", type=str, default=None)
+        sp.add_argument("--format", choices=formats, default="json")
+        sp.set_defaults(run=run)
 
     v = sub.add_parser("verify", help="run the full certificate pipeline for (p, r)")
     v.add_argument("--p", type=int, required=True)
     v.add_argument("--r", type=int, required=True)
     common(v)
-    v.add_argument("--output", type=str, default=None)
-    v.add_argument("--format", choices=("json", "text"), default="json")
+    output(v, cmd_verify)
 
     s = sub.add_parser("scan", help="tabulate the descent conditions over a (p, r) grid")
     s.add_argument("--p-max", type=int, required=True)
     s.add_argument("--r-max", type=int, required=True)
-    s.add_argument("--output", type=str, default=None)
-    s.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    output(s, cmd_scan, ("json", "csv", "text"))
 
     g = sub.add_parser("galois", help="certify or sample the Galois group of an even trinomial")
     g.add_argument("--poly", type=str, default=None, help='e.g. "x^10 - x^2 - 1"')
@@ -97,14 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--c", type=int, default=None, help="default 1, with --m")
     g.add_argument("--mode", choices=("certify", "sample"), default="certify")
     common(g)
-    g.add_argument("--output", type=str, default=None)
-    g.add_argument("--format", choices=("json", "text"), default="json")
+    output(g, cmd_galois)
 
     i = sub.add_parser("invariants", help="genus, Prym dimension and multiplicity table for (p, r)")
     i.add_argument("--p", type=int, required=True)
     i.add_argument("--r", type=int, required=True)
-    i.add_argument("--output", type=str, default=None)
-    i.add_argument("--format", choices=("json", "text"), default="json")
+    output(i, cmd_invariants)
 
     return parser
 
@@ -125,20 +130,19 @@ def _emit(doc_text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .prymcalc import FamilyParams
 
     FamilyParams(args.p, args.r)  # validates before the engine loads; ValueError -> exit 3
     from .galoiscert import certify_prym
 
-    cert = certify_prym(args.p, args.r, args.samples, args.seed, args.prime_budget)
-    doc = cert.to_json()
-    text = _canonical(doc) if args.format == "json" else _render_certificate(doc)
-    _emit(text, args.output)
-    return _VERDICT_EXIT[cert.verdict]
+    cert = certify_prym(
+        args.p, args.r, args.samples, prime_budget=args.prime_budget or _PRIME_BUDGET
+    )
+    return cert.to_json(), _VERDICT_EXIT[cert.verdict], _render_certificate
 
 
-def _render_certificate(doc: dict) -> str:
+def _render_certificate(doc: dict, fmt: str) -> str:
     lines = [
         f"{doc['tool']['name']} {doc['tool']['version']}  schema {doc['version']}",
         f"params: {json.dumps(doc['params'], sort_keys=True)}",
@@ -176,7 +180,7 @@ def _render_certificate(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     if args.p_max < 3 or args.r_max < 2:
         raise UsageError("scan needs --p-max >= 3 (the smallest odd prime) and --r-max >= 2")
     from ._primes import primes
@@ -202,9 +206,12 @@ def cmd_scan(args) -> int:
                 }
             )
     doc = {"version": SCHEMA_VERSION, "command": "scan", "rows": rows}
-    if args.format == "json":
-        text = _canonical(doc)
-    elif args.format == "csv":
+    return doc, EXIT_DETERMINISTIC, _render_scan
+
+
+def _render_scan(doc: dict, fmt: str) -> str:
+    rows = doc["rows"]
+    if fmt == "csv":
         import csv
         import io
 
@@ -212,20 +219,17 @@ def cmd_scan(args) -> int:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        header = f"{'p':>3} {'r':>3} {'m':>4} {'cond1':>6} {'cond2':>6} {'cond3':>6} {'det':>4} {'dim':>5}"
-        body = [header, "-" * len(header)]
-        for row in rows:
-            body.append(
-                f"{row['p']:>3} {row['r']:>3} {row['m']:>4} "
-                f"{str(row['cond1_r_mod']):>6} {str(row['cond2_small']):>6} "
-                f"{str(row['cond3_pass']):>6} {str(row['det_eligible']):>4} "
-                f"{row['dim_prym']:>5}"
-            )
-        text = "\n".join(body) + "\n"
-    _emit(text, args.output)
-    return EXIT_DETERMINISTIC
+        return buf.getvalue()
+    header = f"{'p':>3} {'r':>3} {'m':>4} {'cond1':>6} {'cond2':>6} {'cond3':>6} {'det':>4} {'dim':>5}"
+    body = [header, "-" * len(header)]
+    for row in rows:
+        body.append(
+            f"{row['p']:>3} {row['r']:>3} {row['m']:>4} "
+            f"{str(row['cond1_r_mod']):>6} {str(row['cond2_small']):>6} "
+            f"{str(row['cond3_pass']):>6} {str(row['det_eligible']):>4} "
+            f"{row['dim_prym']:>5}"
+        )
+    return "\n".join(body) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +251,11 @@ def _family_shape(h) -> tuple[int, int] | None:
     return m, c
 
 
-def cmd_galois(args) -> int:
+def cmd_galois(args):
     if args.poly is None and args.m is None:
         raise UsageError("galois needs either --poly or --m")
+    if args.mode == "sample" and args.prime_budget is not None:
+        raise UsageError("--mode sample takes no --prime-budget (it samples --samples primes)")
     if args.poly is not None:
         if args.m is not None or args.c is not None:
             raise UsageError("--poly takes no --m or --c (the polynomial fixes both)")
@@ -261,14 +267,12 @@ def cmd_galois(args) -> int:
             raise UsageError(f"cannot parse polynomial: {exc}") from exc
         if h.degree < 2 or h.degree % 2:
             raise UsageError("polynomial must have even degree >= 2")
-        m = h.degree // 2
     else:
         if args.m < 3 or args.m % 2 == 0:
             raise UsageError("--m must be odd and >= 3")
         from .intpoly import compose_x2, trinomial
 
         h = compose_x2(trinomial(args.m, 1 if args.c is None else args.c))
-        m = args.m
 
     if args.mode == "certify":
         shape = _family_shape(h)
@@ -280,46 +284,42 @@ def cmd_galois(args) -> int:
         from .galoiscert import certify_wdm_over_Q
 
         cert = certify_wdm_over_Q(
-            shape[0], shape[1], args.samples, args.seed, args.prime_budget
+            *shape, args.samples, prime_budget=args.prime_budget or _PRIME_BUDGET
         )
-        doc = cert.to_json()
-        text = _canonical(doc) if args.format == "json" else _render_certificate(doc)
-        _emit(text, args.output)
-        return _VERDICT_EXIT[cert.verdict]
+        return cert.to_json(), _VERDICT_EXIT[cert.verdict], _render_certificate
 
     from .galoiscert import chebotarev_verdict
     from .signedperm import GroupDescriptor
 
-    report = chebotarev_verdict(h, GroupDescriptor.wdm(m), args.samples, args.seed)
+    report = chebotarev_verdict(h, GroupDescriptor.wdm(h.degree // 2), args.samples)
     doc = {
         "version": SCHEMA_VERSION,
         "command": "galois-sample",
         "polynomial": str(h),
         "report": report.to_json(),
     }
-    if args.format == "json":
-        text = _canonical(doc)
+    return doc, EXIT_REFUTED if not report.consistent else EXIT_PROBABILISTIC, _render_sample
+
+
+def _render_sample(doc: dict, fmt: str) -> str:
+    rep = doc["report"]
+    lines = [
+        f"polynomial: {doc['polynomial']}",
+        f"target: W(D_{rep['target']['m']}) of order {rep['group_order']}",
+        f"consistent: {rep['consistent']}",
+    ]
+    if rep["consistent"]:
+        lines.append(
+            f"samples: {rep['samples']}, chi_square = {rep['chi_square']} "
+            f"on {rep['dof']} dof"
+        )
     else:
-        rep = doc["report"]
-        lines = [
-            f"polynomial: {doc['polynomial']}",
-            f"target: W(D_{m}) of order {rep['group_order']}",
-            f"consistent: {rep['consistent']}",
-        ]
-        if rep["consistent"]:
-            lines.append(
-                f"samples: {rep['samples']}, chi_square = {rep['chi_square']} "
-                f"on {rep['dof']} dof"
-            )
-        else:
-            lines.append(
-                f"refuted at q = {rep['refuting_prime']} by cycle type "
-                f"{rep['refuting_type']}"
-            )
-        lines.append(rep["note"])
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_REFUTED if not report.consistent else EXIT_PROBABILISTIC
+        lines.append(
+            f"refuted at q = {rep['refuting_prime']} by cycle type "
+            f"{rep['refuting_type']}"
+        )
+    lines.append(rep["note"])
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def cmd_galois(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args):
     from .prymcalc import (
         FamilyParams,
         dim_prym,
@@ -355,24 +355,24 @@ def cmd_invariants(args) -> int:
     }
     if r % 2:
         doc["note"] = "r odd: coprimality fails"
-    if args.format == "json":
-        text = _canonical(doc)
-    else:
-        lines = [
-            f"(p, r) = ({p}, {r}):  m = {m}, n = {n}",
-            f"genus of the covering curve: {doc['genus']}",
-            f"dim Prym: {doc['dim_prym']}",
-            "eigenvalue multiplicities (j: mult):",
-        ]
-        for j in sorted(table.mult):
-            lines.append(f"  {j}: {table.mult[j]}")
-        lines.append(f"gcd: {doc['gcd']}  distinct: {doc['distinct']}")
-        lines.append(f"non-jacobian inequality: {doc['non_jacobian_inequality']}")
-        if "note" in doc:
-            lines.append(doc["note"])
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_DETERMINISTIC
+    return doc, EXIT_DETERMINISTIC, _render_invariants
+
+
+def _render_invariants(doc: dict, fmt: str) -> str:
+    params = doc["params"]
+    lines = [
+        f"(p, r) = ({params['p']}, {params['r']}):  m = {params['m']}, n = {params['n']}",
+        f"genus of the covering curve: {doc['genus']}",
+        f"dim Prym: {doc['dim_prym']}",
+        "eigenvalue multiplicities (j: mult):",
+    ]
+    for j, mult in doc["multiplicities"].items():  # in increasing j
+        lines.append(f"  {j}: {mult}")
+    lines.append(f"gcd: {doc['gcd']}  distinct: {doc['distinct']}")
+    lines.append(f"non-jacobian inequality: {doc['non_jacobian_inequality']}")
+    if "note" in doc:
+        lines.append(doc["note"])
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +384,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "galois":
-            return cmd_galois(args)
-        return cmd_invariants(args)
+        doc, code, render = args.run(args)
+        _emit(_canonical(doc) if args.format == "json" else render(doc, args.format), args.output)
+        return code
     except (UsageError, ValueError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

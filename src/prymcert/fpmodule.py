@@ -34,9 +34,8 @@ from .prymcalc import dim_prym
 from .signedperm import (
     LabeledRoots,
     SignedPerm,
-    orbits,
     roots_h,
-    stabilizer_generators,
+    stabilizer_orbit_count,
 )
 
 __all__ = [
@@ -404,9 +403,7 @@ def orbit_count_formula(generators, m: int, label: int = 1) -> int:
     endomorphism algebra of the full function space; both sides are computed
     independently so the identity is a cross-check, not an assumption.
     """
-    roots = roots_h(m)
-    stab = stabilizer_generators(generators, label, roots)
-    return len(orbits(stab, roots))
+    return stabilizer_orbit_count(generators, roots_h(m), label)
 
 
 # ---------------------------------------------------------------------------

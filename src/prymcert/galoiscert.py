@@ -50,9 +50,7 @@ from .intpoly import (
     Inconclusive,
     IntPoly,
     Irreducible,
-    Reducible,
     _composite_rule,
-    _rational_root_factor,
     _validate_odd,
     compose_x2,
     disc_of_even_composite,
@@ -456,13 +454,10 @@ def certify_wdm_over_Q(
             {"failed_premise": "2m < m(m-1)/2 (subgroup index side condition)"},
         )
     if witness is None:
-        # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0,
-        # so its verdict is Reducible(linear factor) or Inconclusive
-        linear = _rational_root_factor(u)
-        detail = {"failed_premise": "u is irreducible over Q",
-                  "detail": repr(Inconclusive() if linear is None else Reducible(linear))}
-        if linear is None:
-            detail["prime_budget"] = prime_budget  # walked out with no witness
+        # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0;
+        # u has no integer root, as a^m - a is even and c odd: the primes ran out
+        detail = {"failed_premise": "u is irreducible over Q", "detail": repr(Inconclusive()),
+                  "prime_budget": prime_budget}
         return cert([containment], INCONCLUSIVE, detail)
     disc_square = is_square(disc_u)
     if disc_square:

@@ -30,11 +30,10 @@ An even f(x) = g(x^2) mod an odd q, such as the composite h = u(x^2) that
 Chebotarev sampling factors, is factored through g at half the degree.  A
 Frobenius cycle of length L on the roots of g either splits into two
 L-cycles on the roots of f or becomes one 2L-cycle, according to whether
-its root b is a square in F_(q^L), that is, whether the norm of b is a
-square in F_q.  A lone factor of g is typed by one Legendre symbol of that
-norm, read off its constant term; a product of several factors of degree d
-is split by one gcd with y^((q^d-1)/2) - 1.  The route is exact, with no
-equal-degree splitting and no randomness.
+its root b is a square in F_(q^L).  The factors of g of one degree d,
+found as one product, are split by one gcd with y^((q^d-1)/2) - 1, whose
+roots are the squares.  The route is exact, with no equal-degree
+splitting and no randomness.
 
 unramified_factor_degrees is the one walk over the primes: every scan of a
 polynomial's Frobenius types (irreducibility witnesses, the Jordan cycle,
@@ -632,13 +631,10 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     powering goes through A = y^((q-1)/2) to Y = y A^2 = y^q, and the same
     blocked loop runs on g with t_d = y^(q^d) - y (y does not divide g).
     An irreducible factor of g of degree e with root b gives two factors of
-    f of degree e when b is a square in F_(q^e), else one of degree 2e; b is
-    a square iff ((-1)^e g_e(0))^((q-1)/2) = 1 for that factor g_e, the
-    Legendre symbol of the norm of b.  So a part holding one factor, such as
-    the last factor left, is typed by one Legendre symbol.  A part holding
-    several factors of degree d is split by gcd(B_d - 1, part), whose roots
-    are exactly the squares; B_d = y^((q^d-1)/2) steps from B_1 = A as
-    B_(k+1) = B_k^q A.
+    f of degree e when b is a square in F_(q^e), else one of degree 2e.
+    Each part found, the product of the factors of g of one degree d, is
+    split by gcd(B_d - 1, part), whose roots are exactly the squares;
+    B_d = y^((q^d-1)/2) steps from B_1 = A as B_(k+1) = B_k^q A.
     """
     if f.degree < 1:
         raise ValueError("factor degrees require a nonconstant polynomial")
@@ -777,17 +773,11 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
     frobenius_map = getattr(f, "frobenius", None) or _Frobenius(f, [q], s)
     _, mulmod, _ = _ring(f, q)
 
-    def root_is_square(e, c0):
-        """Whether a root of an irreducible factor of degree e, constant c0, is a square."""
-        return pow(-c0 if e % 2 else c0, (q - 1) // 2, q) == 1
-
     def record(part, d):
         """Append the factors of F over part, a product of factors of f of degree d."""
         e = len(part) - 1
         if s == 1:
             degrees.extend([d] * (e // d))
-        elif e == d:
-            degrees.extend([d, d] if root_is_square(d, part[0]) else [2 * d])
         else:
             # a root of part lies in F_(q^d), and is a square there iff
             # B_d = y^((q^d-1)/2) is 1 at it

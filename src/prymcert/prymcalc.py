@@ -176,10 +176,7 @@ def condition_p_r(p: int, r: int) -> ConditionPR:
     2^(r-2) < p - 1 keeps the value strictly between 1 and p.  Either
     shortcut implies a pass, which is asserted.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    FamilyParams(p, r)  # validates p and r
     residue = (1 + pow(2, r - 2, p)) % p
     passed = residue != 0
     shortcut_r_mod = (r - 2) % (p - 1) == 0

@@ -400,11 +400,14 @@ class GroupDescriptor(Record):
 def _check_budget(desc: GroupDescriptor, budget: int) -> None:
     known = desc.order()
     if known is not None and known > budget:
-        try:
+        if known < 10**640:  # str() prints this many digits under every int-to-str limit
             order = str(known)
-        except ValueError:  # more digits than int-to-str conversion allows
-            from decimal import Decimal  # exact, and not bound by that limit
-            order = f"with {Decimal(known).adjusted() + 1} decimal digits"
+        else:  # Decimal is exact and not bound by that limit
+            from decimal import Decimal  # off every path but this error
+
+            order = str(Decimal(known))
+            if len(order) > 4300:  # the default limit: a longer order is named by its length
+                order = f"with {len(order)} decimal digits"
         raise EnumerationBudgetError(f"group of order {order} exceeds enumeration budget {budget}")
 
 

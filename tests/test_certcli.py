@@ -369,3 +369,46 @@ def test_missing_jordan_prime_names_the_prime_budget(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "failed premise: a qualifying prime-length cycle was observed\n" in text
     assert "prime budget exhausted: 17\n" in text
+
+
+def test_seed_is_not_an_option(tmp_path, capsys):
+    # sampling takes the first unramified primes in increasing order, so a seed
+    # would change nothing but its own echo; certificates still record seed 0
+    assert run(["verify", "--p", "3", "--r", "2", "--seed", "5"]) == 3
+    assert run(["galois", "--m", "5", "--mode", "sample", "--samples", "100", "--seed", "9"]) == 3
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    out = tmp_path / "cert.json"
+    assert run(["verify", "--p", "3", "--r", "2", "--samples", "50", "--output", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["config"]["seed"] == 0
+    assert doc["verdict"]["detail"]["sampling"]["seed"] == 0
+
+
+def test_sample_mode_takes_no_prime_budget(tmp_path, capsys):
+    # sampling walks --samples primes, so a budget would be silently ignored
+    for budget in ("3", "500"):
+        args = ["galois", "--m", "5", "--mode", "sample", "--samples", "100"]
+        assert run([*args, "--prime-budget", budget]) == 3
+    assert "--mode sample takes no --prime-budget" in capsys.readouterr().err
+    out = tmp_path / "cert.json"
+    for args in (["galois", "--m", "9"], ["verify", "--p", "5", "--r", "2"]):
+        assert run([*args, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["prime_budget"] == 500
+
+
+def test_output_file_receives_exactly_stdout(tmp_path, capsys):
+    runs = [
+        *[["verify", "--p", "5", "--r", "2", "--format", f] for f in ("json", "text")],
+        *[["galois", "--m", "9", "--format", f] for f in ("json", "text")],
+        *[["galois", "--m", "5", "--mode", "sample", "--samples", "50", "--format", f]
+          for f in ("json", "text")],
+        *[["scan", "--p-max", "7", "--r-max", "4", "--format", f] for f in ("json", "csv", "text")],
+        *[["invariants", "--p", "3", "--r", "3", "--format", f] for f in ("json", "text")],
+    ]
+    out = tmp_path / "out"
+    for args in runs:
+        code = run(args)
+        stdout = capsys.readouterr().out
+        assert run([*args, "--output", str(out)]) == code, args
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode(), args

@@ -905,3 +905,12 @@ def test_trace_route_agrees_with_sympy_past_2n():
         assert len(spots) == 6
         for q, ct in spots:
             assert ct == _sympy_factor_degrees(f, q), (text, q)
+
+
+def test_odd_trinomial_has_no_rational_root():
+    # a^m - a is even for every integer a, so x^m - x - c with c odd has no
+    # integer root: with no prime to walk, the verdict is never Reducible
+    for m in range(3, 32, 2):
+        for c in range(-49, 50, 2):
+            verdict = irreducible_over_Q(trinomial(m, c), prime_budget=1)
+            assert isinstance(verdict, Inconclusive), (m, c, verdict)

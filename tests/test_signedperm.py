@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -310,3 +311,30 @@ def test_wd1_is_trivial():
     assert desc.generators() == (SignedPerm.identity(1),)
     assert elements(desc) == [SignedPerm.identity(1)]
     assert census(desc) == {CycleType([1, 1]): 1}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_census_budget_message_ignores_the_int_to_str_limit():
+    # the message depends on the order's digit count, never on the limit: up to
+    # 4300 digits (the default limit) the order is printed whole
+    def message(m):
+        with pytest.raises(EnumerationBudgetError) as info:
+            census(GroupDescriptor.wdm(m))
+        return str(info.value)
+
+    default = sys.get_int_max_str_digits()
+    expected = {m: message(m) for m in (9, 301, 2001)}
+    assert expected[301] == (
+        f"group of order {GroupDescriptor.wdm(301).order()} exceeds enumeration budget 5160960"
+    )
+    assert expected[2001] == (
+        "group of order with 6341 decimal digits exceeds enumeration budget 5160960"
+    )
+    try:
+        for limit in (0, 640):
+            sys.set_int_max_str_digits(limit)
+            assert {m: message(m) for m in expected} == expected, limit
+    finally:
+        sys.set_int_max_str_digits(default)

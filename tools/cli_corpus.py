@@ -1,0 +1,80 @@
+"""Run a fixed corpus of prymcert CLI commands and print one line per run.
+
+Usage: python tools/cli_corpus.py SRC
+
+SRC is the `src/` directory of the checkout under test.  Each command runs
+as `python -m prymcert.certcli` in a child process with SRC first on
+PYTHONPATH.  Each line holds the sha256 of stdout, the sha256 of stderr, the
+exit code and the argv.  Run it on two checkouts and diff the outputs: equal
+lines mean byte-identical output and exit codes for every command.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+
+VERIFY = [
+    *[["verify", "--p", p, "--r", r] for p, r in [
+        ("3", "2"), ("5", "2"), ("3", "4"), ("7", "2"), ("11", "2"),
+        ("3", "8"), ("5", "4"), ("3", "3"), ("7", "8"), ("3", "10"),
+    ]],
+    ["verify", "--p", "3", "--r", "2", "--prime-budget", "1"],
+]
+GALOIS_CERTIFY = [
+    *[["galois", "--m", m] for m in ("3", "5", "7", "9", "11", "13", "29", "45", "55", "61")],
+    *[["galois", "--m", "9", "--c", c] for c in ("9", "3", "-1")],
+    ["galois", "--m", "5", "--c", "3", "--samples", "50"],
+    *[["galois", "--m", m, "--prime-budget", b]
+      for m, b in (("11", "5"), ("9", "3"), ("13", "17"), ("27", "200"))],
+    ["galois", "--m", "11", "--c", "25", "--prime-budget", "7"],
+]
+SAMPLING = [
+    ["galois", "--m", "7", "--mode", "sample", "--samples", "2000"],
+    ["galois", "--poly", "x^6 - x^2 - 1", "--mode", "sample", "--samples", "100"],
+    ["galois", "--poly", "x^14 - x - 1", "--mode", "sample"],
+]
+FORMATTED = VERIFY + GALOIS_CERTIFY + SAMPLING  # each runs in JSON and in text
+
+CORPUS = [
+    *FORMATTED,
+    *[[*argv, "--format", "text"] for argv in FORMATTED],
+    ["galois", "--poly", "x^22 - x^2 - 1"],
+    # census budget errors, the last two with orders of 708 and 6341 digits
+    ["galois", "--m", "9", "--mode", "sample", "--samples", "20"],
+    ["galois", "--poly", "x^602 - x^2 - 1", "--mode", "sample", "--samples", "20"],
+    ["galois", "--poly", "x^4002 - x^2 - 1", "--mode", "sample", "--samples", "20"],
+    ["galois", "--m", "4"],
+    ["galois", "--poly", "bad(", "--mode", "sample"],
+    ["verify", "--p", "4", "--r", "2"],
+    *[["scan", "--p-max", "13", "--r-max", "8", "--format", f] for f in ("json", "csv", "text")],
+    ["scan", "--p-max", "1", "--r-max", "4"],
+    *[["invariants", "--p", "5", "--r", "4", "--format", f] for f in ("json", "text")],
+    ["invariants", "--p", "2", "--r", "2"],
+]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not os.path.isdir(argv[0]):
+        print("usage: python tools/cli_corpus.py SRC", file=sys.stderr)
+        return 2
+    src = os.path.abspath(argv[0])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "PYTHONDONTWRITEBYTECODE": "1",  # leave the tree under test as it is
+    }
+    for args in CORPUS:
+        res = subprocess.run(
+            [sys.executable, "-m", "prymcert.certcli", *args], env=env, capture_output=True
+        )
+        out, err = (hashlib.sha256(b).hexdigest() for b in (res.stdout, res.stderr))
+        print(out, err, res.returncode, shlex.join(args), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
