@@ -34,6 +34,7 @@ from .prymcalc import dim_prym
 from .signedperm import (
     LabeledRoots,
     SignedPerm,
+    roots_f,
     roots_h,
     stabilizer_orbit_count,
 )
@@ -72,13 +73,6 @@ def _zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    out = _zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 class FpMatrix:
     """A square matrix over F_p, stored as rows of residues (Python ints)."""
 
@@ -91,7 +85,7 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> FpMatrix:
-        return cls(p, _identity_rows(n))
+        return cls(p, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def n(self) -> int:
@@ -197,9 +191,20 @@ class FpSpace:
         return f"FpSpace({self.name}, p={self.p}, dim={self.dim})"
 
 
+def _space(p: int, roots: LabeledRoots, columns: list[dict], name: str) -> FpSpace:
+    """The space spanned by the columns, each a label -> coefficient dict."""
+    row = {lbl: i for i, lbl in enumerate(roots.labels())}
+    B = _zeros(len(row), len(columns))
+    for j, col in enumerate(columns):
+        for lbl, v in col.items():
+            B[row[lbl]][j] = v
+    return FpSpace(p, roots, B, name)
+
+
 def function_space_on_roots(m: int, p: int) -> FpSpace:
     """The full function space F_p^(R_h), delta-function basis, dim 2m."""
-    return FpSpace(p, roots_h(m), _identity_rows(2 * m), "F_p^R_h")
+    roots = roots_h(m)
+    return _space(p, roots, [{lbl: 1} for lbl in roots.labels()], "F_p^R_h")
 
 
 def odd_space(m: int, p: int) -> FpSpace:
@@ -208,66 +213,36 @@ def odd_space(m: int, p: int) -> FpSpace:
     As a module this is V_f^- (odd functions on all roots vanish at 0, so
     restriction to the nonzero labels is an isomorphism onto W_h^-).
     """
-    roots = roots_h(m)
-    B = _zeros(2 * m, m)
-    for i in range(m):
-        B[i][i] = 1
-        B[m + i][i] = -1
-    return FpSpace(p, roots, B, "V_f^-")
+    return _space(p, roots_h(m), [{i: 1, -i: -1} for i in range(1, m + 1)], "V_f^-")
 
 
 def even_space(m: int, p: int) -> FpSpace:
     """Even functions on the nonzero labels: basis delta(+i) + delta(-i)."""
-    B = _zeros(2 * m, m)
-    for i in range(m):
-        B[i][i] = 1
-        B[m + i][i] = 1
-    return FpSpace(p, roots_h(m), B, "W_h^+")
+    return _space(p, roots_h(m), [{i: 1, -i: 1} for i in range(1, m + 1)], "W_h^+")
 
 
 def even_zero_space(m: int, p: int) -> FpSpace:
     """Even functions with zero value sum; dim m - 1."""
-    B = _zeros(2 * m, m - 1)
-    for i in range(m - 1):
-        B[i][i] = 1
-        B[m + i][i] = 1
-        B[i + 1][i] = -1
-        B[m + i + 1][i] = -1
-    return FpSpace(p, roots_h(m), B, "W_h^+,0")
+    columns = [{i: 1, -i: 1, i + 1: -1, -i - 1: -1} for i in range(1, m)]
+    return _space(p, roots_h(m), columns, "W_h^+,0")
 
 
 def constant_space(m: int, p: int) -> FpSpace:
     """The constants F_p . 1 on the nonzero labels."""
-    return FpSpace(p, roots_h(m), [[1] for _ in range(2 * m)], "F_p.1")
+    roots = roots_h(m)
+    return _space(p, roots, [dict.fromkeys(roots.labels(), 1)], "F_p.1")
 
 
 def vf_space(m: int, p: int) -> FpSpace:
     """Sum-zero functions on all 2m+1 labels; dim 2m."""
-    roots = LabeledRoots(m, "R_f")
-    labels = roots.labels()
-    B = _zeros(2 * m + 1, 2 * m)
-    zero_row = labels.index(0)
-    col = 0
-    for row, lbl in enumerate(labels):
-        if lbl == 0:
-            continue
-        B[row][col] = 1
-        B[zero_row][col] = -1
-        col += 1
-    return FpSpace(p, roots, B, "V_f")
+    roots = roots_f(m)
+    return _space(p, roots, [{lbl: 1, 0: -1} for lbl in roots.labels() if lbl], "V_f")
 
 
 def vf_plus_space(m: int, p: int) -> FpSpace:
     """Even sum-zero functions on all labels: delta(+i) + delta(-i) - 2 delta(0)."""
-    roots = LabeledRoots(m, "R_f")
-    labels = roots.labels()
-    idx = {lbl: i for i, lbl in enumerate(labels)}
-    B = _zeros(2 * m + 1, m)
-    for i in range(1, m + 1):
-        B[idx[i]][i - 1] = 1
-        B[idx[-i]][i - 1] = 1
-        B[idx[0]][i - 1] = -2
-    return FpSpace(p, roots, B, "V_f^+")
+    columns = [{i: 1, -i: 1, 0: -2} for i in range(1, m + 1)]
+    return _space(p, roots_f(m), columns, "V_f^+")
 
 
 def _push_forward(space: FpSpace, image_of_label) -> list[list[int]]:
@@ -292,8 +267,7 @@ def action_matrix(g: SignedPerm, space: FpSpace) -> FpMatrix:
 
 def d2_matrix(space: FpSpace) -> FpMatrix:
     """Matrix of the involution phi(alpha) -> phi(-alpha) on the space."""
-    V = _push_forward(space, lambda lbl: -lbl)
-    return FpMatrix(space.p, _solve_in_span(space.basis, V, space.p))
+    return action_matrix(SignedPerm(range(space.m), (-1,) * space.m), space)
 
 
 def _monomial_form(A) -> tuple[list[int], list[int]] | None:

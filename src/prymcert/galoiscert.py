@@ -14,6 +14,11 @@ Verdicts are kept strictly apart:
 * Refuted        - a computed fact contradicts the claim;
 * Inconclusive   - a premise failed or could not be established.
 
+The guard rule: a rule step lists its premises as (fact, value, required)
+triples, required being None for a value the step only reports.  The step
+is appended first; then the chain ends Inconclusive at the first premise
+whose value is not its required value, with that fact as failed_premise.
+
 Conclusions about the Prym variety itself (endomorphism ring, simplicity,
 not being a jacobian) are emitted as claims with checked=false: the engine
 verifies their arithmetic premises and names the bridging rule, it does not
@@ -113,6 +118,13 @@ class RuleStep(Record, frozen=False):
 
 def _prem(fact: str, value) -> dict:
     return {"fact": fact, "value": value}
+
+
+def _guarded(steps: list[RuleStep], rule: str, conclusion: str, *premises) -> str | None:
+    """Append the step; return the fact of its first premise off its required value."""
+    steps.append(RuleStep(rule=rule, conclusion=conclusion,
+                          premises=[_prem(fact, value) for fact, value, _ in premises]))
+    return next((fact for fact, value, req in premises if req is not None and value != req), None)
 
 
 class Certificate(Record, frozen=False):
@@ -227,7 +239,8 @@ def chebotarev_verdict(
         raise ValueError(
             f"degree {h.degree} polynomial cannot match a group on {2 * target.m} points"
         )
-    frobenius = unramified_frobenius_samples(h, pool if pool else samples)  # checks h first
+    # the sampler rejects a repeated factor of h before the census is built
+    frobenius = unramified_frobenius_samples(h, pool if pool and pool > samples else samples)
     cens = census(target)
     support = set(cens)
     order = sum(cens.values())
@@ -446,13 +459,6 @@ def certify_wdm_over_Q(
         )
 
     # m >= DET_MIN_M: the deterministic chain
-    side_condition = 2 * m < m * (m - 1) // 2
-    if not side_condition:
-        return cert(
-            [containment],
-            INCONCLUSIVE,
-            {"failed_premise": "2m < m(m-1)/2 (subgroup index side condition)"},
-        )
     if witness is None:
         # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0;
         # u has no integer root, as a^m - a is even and c odd: the primes ran out
@@ -492,48 +498,34 @@ def certify_wdm_over_Q(
             {"failed_premise": "the composite irreducibility rule applies",
              "detail": composite.failed},
         )
-    steps += [
-        *irred_x2,
-        containment,
-        RuleStep(
-            rule="IrredDelta",
-            conclusion="u(x^2) is irreducible over the quadratic field Q(sqrt(disc(u)))",
-            premises=[
-                _prem("m odd and >= 7", m),
-                _prem("c odd", c),
-                _prem("Gal(u/Q) = S_m", is_sm),
-                _prem("disc(u) odd, so the quadratic field is unramified at 2", disc_u % 2 != 0),
-            ],
-        ),
-        RuleStep(
-            rule="SquareRoot",
-            conclusion="no square root of a root of u lies in the splitting "
-            "field of u; the splitting fields of u and u(x^2) differ",
-            premises=[
-                _prem(f"m odd and >= {DET_MIN_M}", m),
-                _prem("2m < m(m-1)/2, so A_m has no subgroup of index 2m", side_condition),
-            ],
-        ),
-    ]
-    heart = _heart_is_irreducible(m)
-    if not heart:
-        return cert(steps, INCONCLUSIVE, {"failed_premise": "heart irreducibility over F_2"})
-    steps.append(
-        RuleStep(
-            rule="TwoGroup",
-            conclusion=claim,
-            premises=[
-                _prem("c is a square in Q", contained),
-                _prem("Gal(u(x^2)/Q) contained in W(D_m)", contained),
-                # the one literal premise: no computation backs it yet (a
-                # Frobenius element in the kernel would)
-                _prem("kernel of the sign projection is nontrivial", True),
-                _prem("sum-zero F_2-module of A_m is irreducible (weight-2 spin "
-                      "and one 3-cycle per even weight)", heart),
-                _prem("Gal(u/Q) = S_m", is_sm),
-            ],
-        )
+    steps += [*irred_x2, containment]
+    side_condition = 2 * m < m * (m - 1) // 2
+    failed = _guarded(
+        steps, "IrredDelta",
+        "u(x^2) is irreducible over the quadratic field Q(sqrt(disc(u)))",
+        ("m odd and >= 7", m, None),
+        ("c odd", c, None),
+        ("Gal(u/Q) = S_m", is_sm, True),
+        ("disc(u) odd, so the quadratic field is unramified at 2", disc_u % 2 != 0, True),
+    ) or _guarded(
+        steps, "SquareRoot",
+        "no square root of a root of u lies in the splitting "
+        "field of u; the splitting fields of u and u(x^2) differ",
+        (f"m odd and >= {DET_MIN_M}", m, None),
+        ("2m < m(m-1)/2, so A_m has no subgroup of index 2m", side_condition, True),
+    ) or _guarded(
+        steps, "TwoGroup", claim,
+        ("c is a square in Q", contained, True),
+        ("Gal(u(x^2)/Q) contained in W(D_m)", contained, True),
+        # SquareRoot concludes that the splitting fields of u and u(x^2) differ,
+        # which is exactly a nontrivial kernel of Gal(h/Q) -> Gal(u/Q)
+        ("kernel of the sign projection is nontrivial", side_condition, True),
+        ("sum-zero F_2-module of A_m is irreducible (weight-2 spin "
+         "and one 3-cycle per even weight)", _heart_is_irreducible(m), True),
+        ("Gal(u/Q) = S_m", is_sm, True),
     )
+    if failed:
+        return cert(steps, INCONCLUSIVE, {"failed_premise": failed})
     return cert(
         steps, DETERMINISTIC, {}, [{"statement": claim, "checked": True, "via": "TwoGroup"}]
     )
@@ -646,80 +638,42 @@ def certify_prym(
 
     steps = list(ext.steps)
 
-    # arithmetic premises of the endomorphism-ring conclusion
-    doubly_transitive = transitivity_degree(GroupDescriptor.symmetric(m), roots_u(m)) >= 2
-    normal_ok = sm_normal_index_condition(m)
-    p_coprime_2m = (2 * m) % p != 0
-    cdim = commutant_dim(GroupDescriptor.wdm(m).generators(), odd_space(m, p))
-    end_checks = [
-        ("r is even", r % 2 == 0, True),
-        ("S_m is doubly transitive on the roots of u", doubly_transitive, True),
-        ("S_m has no proper normal subgroup of index dividing m", normal_ok, True),
-        ("p does not divide 2m", p_coprime_2m, True),
-        ("commutant of W(D_m) on the odd function space mod p has dim", cdim, 1),
-    ]
-    end_premises = [_prem(fact, value) for fact, value, _ in end_checks]
-    end_premises.append(_prem(f"Gal over Q(zeta_{p}) established", ext.verdict))
-    for fact, value, expected in end_checks:
-        if value != expected:
-            return cert(steps, INCONCLUSIVE, {"failed_premise": fact})
-    steps.append(
-        RuleStep(
-            rule="EndomorphismRing",
-            conclusion=f"End(Prym) = Z[zeta_{p}]; Prym is absolutely simple",
-            premises=end_premises,
-        )
-    )
-
     table = multiplicity_table(p, r)
     distinct = multiplicities_distinct(p, r)
-    coprime = multiplicities_coprime(p, r)
     d = dim_prym(p, m)
-    sum_ok = table.total() == d
-    steps.append(
-        RuleStep(
-            rule="EigenvalueMultiplicities",
-            conclusion="the automorphism eigenvalue multiplicities on the "
-            "anti-invariant differentials are rj (j even) and rj-1 (j odd); "
-            "they are pairwise distinct and coprime",
-            premises=[
-                _prem("multiplicity table", table.to_json()),
-                _prem("multiplicities pairwise distinct", distinct),
-                _prem("gcd of multiplicities is 1", coprime),
-                _prem("multiplicities sum to dim Prym", sum_ok),
-                _prem("dim Prym", d),
-            ],
-        )
+    failed = _guarded(
+        steps, "EndomorphismRing",
+        f"End(Prym) = Z[zeta_{p}]; Prym is absolutely simple",
+        ("r is even", r % 2 == 0, True),
+        ("S_m is doubly transitive on the roots of u",
+         transitivity_degree(GroupDescriptor.symmetric(m), roots_u(m)) >= 2, True),
+        ("S_m has no proper normal subgroup of index dividing m",
+         sm_normal_index_condition(m), True),
+        ("p does not divide 2m", (2 * m) % p != 0, True),
+        ("commutant of W(D_m) on the odd function space mod p has dim",
+         commutant_dim(GroupDescriptor.wdm(m).generators(), odd_space(m, p)), 1),
+        (f"Gal over Q(zeta_{p}) established", ext.verdict, None),
+    ) or _guarded(
+        steps, "EigenvalueMultiplicities",
+        "the automorphism eigenvalue multiplicities on the "
+        "anti-invariant differentials are rj (j even) and rj-1 (j odd); "
+        "they are pairwise distinct and coprime",
+        ("multiplicity table", table.to_json(), None),
+        ("multiplicities pairwise distinct", distinct, True),
+        ("gcd of multiplicities is 1", multiplicities_coprime(p, r), True),
+        ("multiplicities sum to dim Prym", table.total() == d, True),
+        ("dim Prym", d, None),
+    ) or _guarded(
+        steps, "NonJacobian",
+        "Prym is isomorphic neither to the jacobian of a smooth "
+        "projective curve nor to a product of jacobians",
+        ("r - 1 < (2 dim Prym)/(p(p-1)) - (p-2)/p (exact rationals)",
+         non_jacobian_inequality(p, r), True),
+        ("multiplicities pairwise distinct", distinct, True),
+        ("smallest multiplicity", table.values()[0], None),
     )
-    if not (distinct and coprime and sum_ok):
-        failed = (
-            "multiplicities pairwise distinct"
-            if not distinct
-            else "gcd of multiplicities is 1" if not coprime
-            else "multiplicities sum to dim Prym"
-        )
+    if failed:
         return cert(steps, INCONCLUSIVE, {"failed_premise": failed})
-
-    inequality = non_jacobian_inequality(p, r)
-    steps.append(
-        RuleStep(
-            rule="NonJacobian",
-            conclusion="Prym is isomorphic neither to the jacobian of a smooth "
-            "projective curve nor to a product of jacobians",
-            premises=[
-                _prem(
-                    "r - 1 < (2 dim Prym)/(p(p-1)) - (p-2)/p (exact rationals)",
-                    inequality,
-                ),
-                _prem("multiplicities pairwise distinct", distinct),
-                _prem("smallest multiplicity", table.values()[0]),
-            ],
-        )
-    )
-    if not inequality:
-        return cert(
-            steps, INCONCLUSIVE, {"failed_premise": "non-jacobian inequality"}
-        )
 
     checked_galois = ext.verdict == DETERMINISTIC
     claims = [

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import prymcert
-from prymcert import intpoly
+from prymcert import galoiscert, intpoly
 from prymcert.galoiscert import (
     _REPLAY_KEYS,
     Containment,
@@ -601,3 +601,94 @@ def test_walk_powers_no_prime_past_the_budget_or_the_refuting_prime(monkeypatch)
     batches.clear()
     report = chebotarev_verdict(parse_poly("x^14 - x - 1"), GroupDescriptor.wdm(7), 2000)
     assert report.refuting_prime == 2 and batches == [[2]]
+
+
+# ---------------------------------------------------------------------------
+# the guard rule: every exit of the two certify functions
+# ---------------------------------------------------------------------------
+
+_HEART = ("sum-zero F_2-module of A_m is irreducible (weight-2 spin "
+          "and one 3-cycle per even weight)")
+_FORCED_GUARDS = [
+    ("_heart_is_irreducible", lambda m: False, "TwoGroup", _HEART),
+    ("transitivity_degree", lambda group, roots: 1, "EndomorphismRing",
+     "S_m is doubly transitive on the roots of u"),
+    ("sm_normal_index_condition", lambda m: False, "EndomorphismRing",
+     "S_m has no proper normal subgroup of index dividing m"),
+    ("commutant_dim", lambda gens, space: 2, "EndomorphismRing",
+     "commutant of W(D_m) on the odd function space mod p has dim"),
+    ("multiplicities_distinct", lambda p, r: False, "EigenvalueMultiplicities",
+     "multiplicities pairwise distinct"),
+    ("multiplicities_coprime", lambda p, r: False, "EigenvalueMultiplicities",
+     "gcd of multiplicities is 1"),
+    ("non_jacobian_inequality", lambda p, r: False, "NonJacobian",
+     "r - 1 < (2 dim Prym)/(p(p-1)) - (p-2)/p (exact rationals)"),
+]
+
+
+@pytest.mark.parametrize("leaf, forced, rule, fact", _FORCED_GUARDS,
+                         ids=[case[0] for case in _FORCED_GUARDS])
+def test_a_failed_premise_ends_the_chain_at_its_step(monkeypatch, leaf, forced, rule, fact):
+    monkeypatch.setattr(galoiscert, leaf, forced)
+    cert = certify_prym(3, 4)
+    assert cert.verdict == "Inconclusive"
+    assert cert.verdict_detail == {"failed_premise": fact}
+    assert cert.steps[-1].rule == rule  # the failing step is in the chain
+    assert fact in [prem["fact"] for prem in cert.steps[-1].premises]
+    assert cert.claims == []
+    assert verify_replay(json.loads(cert.canonical()))
+
+
+def _census_without_observed_types(target):
+    return {CycleType([1] * (2 * target.m)): 1}
+
+
+_OTHER_EXITS = [
+    # (name, leaf, replacement, certify call, verdict, failed premise, last rule)
+    ("squarefree", "discriminant", lambda f: 0, (certify_prym, 3, 4),
+     "Inconclusive", "u is squarefree", None),
+    ("disc-odd", "discriminant", lambda f: 2 * discriminant(f), (certify_prym, 3, 4),
+     "Inconclusive", "disc(u) odd, so the quadratic field is unramified at 2", "IrredDelta"),
+    ("disc-square", "is_square", lambda n: True, (certify_prym, 3, 4),
+     "Inconclusive", "disc(u) is not a square", "EvenContainment"),
+    ("composite", "_composite_rule", lambda u, irreducibility: intpoly.NotApplicable("forced"),
+     (certify_prym, 3, 4), "Inconclusive", "the composite irreducibility rule applies",
+     "EvenContainment"),
+    ("sampling", "census", _census_without_observed_types, (certify_wdm_over_Q, 5, 1),
+     "Refuted", "all sampled cycle types possible in W(D_m)", "ChebotarevVerdict"),
+]
+
+
+@pytest.mark.parametrize("leaf, forced, call, verdict, fact, rule",
+                         [case[1:] for case in _OTHER_EXITS],
+                         ids=[case[0] for case in _OTHER_EXITS])
+def test_every_other_exit_names_its_premise(monkeypatch, leaf, forced, call, verdict, fact, rule):
+    monkeypatch.setattr(galoiscert, leaf, forced)
+    certify, *args = call
+    cert = certify(*args)
+    assert cert.verdict == verdict
+    assert cert.verdict_detail["failed_premise"] == fact
+    assert (cert.steps[-1].rule if cert.steps else None) == rule
+    assert cert.claims == []
+    assert verify_replay(json.loads(cert.canonical()))
+
+
+def test_deterministic_certificates_hold_every_boolean_premise():
+    for p, r in ((5, 2), (3, 4), (7, 2), (11, 2), (3, 8)):
+        cert = certify_prym(p, r)
+        assert cert.verdict == "Deterministic", (p, r)
+        for step in cert.steps:
+            for prem in step.premises:
+                if type(prem["value"]) is not bool or prem["fact"].startswith("shortcut:"):
+                    continue  # the descent's shortcuts are reported, not required
+                expected = prem["fact"] != "disc(u) is a square"  # SmCert needs a non-square
+                assert prem["value"] is expected, (p, r, step.rule, prem["fact"])
+
+
+def test_a_pool_below_samples_samples_the_first_samples_primes():
+    h = parse_poly("x^6 - x^2 - 1")
+    plain = chebotarev_verdict(h, GroupDescriptor.wdm(3), 100, seed=1).to_json()
+    assert plain["samples"] == 100
+    for pool in (50, -1):
+        report = chebotarev_verdict(h, GroupDescriptor.wdm(3), 100, seed=1, pool=pool)
+        assert report.to_json() == plain
