@@ -18,6 +18,8 @@ The guard rule: a rule step lists its premises as (fact, value, required)
 triples, required being None for a value the step only reports.  The step
 is appended first; then the chain ends Inconclusive at the first premise
 whose value is not its required value, with that fact as failed_premise.
+CyclotomicDescent follows it as the other rules do; a refused descent also
+records the verdict of its base over Q.
 
 Conclusions about the Prym variety itself (endomorphism ring, simplicity,
 not being a jacobian) are emitted as claims with checked=false: the engine
@@ -229,9 +231,9 @@ def chebotarev_verdict(
     no later prime is factored.
     With pool > samples, the sampled primes are a seed-shuffled subset of the
     first `pool` unramified primes; otherwise the seed plays no role and the
-    first `samples` unramified primes are used in increasing order.  A
-    polynomial with a repeated factor has no unramified prime and is
-    rejected with a ValueError.
+    first `samples` unramified primes are used in increasing order.  An
+    over-budget target group, then a polynomial with a repeated factor (no
+    unramified prime), are rejected with a ValueError.
     """
     if samples < 10:
         raise ValueError("at least 10 unramified primes are required")
@@ -239,9 +241,9 @@ def chebotarev_verdict(
         raise ValueError(
             f"degree {h.degree} polynomial cannot match a group on {2 * target.m} points"
         )
-    # the sampler rejects a repeated factor of h before the census is built
-    frobenius = unramified_frobenius_samples(h, pool if pool and pool > samples else samples)
+    # an over-budget census is refused before disc(h) is computed for the sampler
     cens = census(target)
+    frobenius = unramified_frobenius_samples(h, pool if pool and pool > samples else samples)
     support = set(cens)
     order = sum(cens.values())
     tj = target.to_json()
@@ -540,6 +542,8 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
     that p does not divide disc(u(x^2)): then the splitting field of h and
     Q(zeta_p) have coprime ramification, hence are linearly disjoint, and
     the Galois group is unchanged.  A Probabilistic base stays Probabilistic.
+    The two are equivalent, as m = -1 (mod p) and Fermat give disc(u) =
+    -(-1)^(m(m-1)/2) (1 + 2^(r-2)) (mod p) and disc(u(x^2)) = 4^m disc(u)^2.
     """
     family = FamilyParams(p, r)  # validates p, r
     m = family.m
@@ -555,39 +559,26 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
     cond = condition_p_r(p, r)
     disc_h = discriminant(h)
     assert disc_h == disc_of_even_composite(m, 1), "closed form disagrees with subresultants"
-    disc_coprime = disc_h % p != 0
     claim = f"Gal({format_poly(h)} / Q(zeta_{p})) = W(D_{m})"
-    if not cond.passed:
-        failed = "condition (3): p does not divide 1 + 2^(r-2)"
-    elif not disc_coprime:
-        failed = "p does not divide disc(u(x^2))"
-    else:
-        failed = None
-    step = RuleStep(
-        rule="CyclotomicDescent",
-        conclusion=claim if failed is None
-        else f"descent to Q(zeta_{p}) refused; the claim over Q is unaffected",
-        premises=[
-            _prem("(1 + 2^(r-2)) mod p", cond.residue),
-            _prem("p does not divide 1 + 2^(r-2) (condition (3))", cond.passed),
-            _prem("shortcut: r = 2 (mod p-1)", cond.shortcut_r_mod),
-            _prem("shortcut: 2^(r-2) < p-1", cond.shortcut_small),
-            _prem("disc(u(x^2))", disc_h),
-            _prem("disc route", "subresultant PRS, cross-checked against the closed form"),
-            _prem("p does not divide disc(u(x^2))", disc_coprime),
-        ],
+    steps = list(cert_q.steps)
+    failed = _guarded(
+        steps, "CyclotomicDescent", claim,
+        ("(1 + 2^(r-2)) mod p", cond.residue, None),
+        ("p does not divide 1 + 2^(r-2) (condition (3))", cond.passed, True),
+        ("shortcut: r = 2 (mod p-1)", cond.shortcut_r_mod, None),
+        ("shortcut: 2^(r-2) < p-1", cond.shortcut_small, None),
+        ("disc(u(x^2))", disc_h, None),
+        ("disc route", "subresultant PRS, cross-checked against the closed form", None),
+        ("p does not divide disc(u(x^2))", disc_h % p != 0, True),
     )
-    if failed is None:
-        verdict, detail = cert_q.verdict, dict(cert_q.verdict_detail)
-        checked = cert_q.verdict == DETERMINISTIC
-        claims = [{"statement": claim, "checked": checked, "via": "CyclotomicDescent"}]
-    else:
-        verdict, detail = INCONCLUSIVE, {"failed_premise": failed, "base_verdict": cert_q.verdict}
-        claims = []
     config = {**cert_q.config, "command": "galois-descent", "p": p, "r": r}
-    return Certificate(
-        family.to_json(), config, claim, [*cert_q.steps, step], verdict, detail, claims
-    )
+    verdict, detail = cert_q.verdict, dict(cert_q.verdict_detail)
+    claims = [{"statement": claim, "checked": verdict == DETERMINISTIC, "via": "CyclotomicDescent"}]
+    if failed:
+        steps[-1].conclusion = f"descent to Q(zeta_{p}) refused; the claim over Q is unaffected"
+        verdict, claims = INCONCLUSIVE, []
+        detail = {"failed_premise": failed, "base_verdict": cert_q.verdict}
+    return Certificate(family.to_json(), config, claim, steps, verdict, detail, claims)
 
 
 def certify_prym(
@@ -629,15 +620,11 @@ def certify_prym(
         )
 
     base = certify_wdm_over_Q(m, 1, samples, seed, prime_budget)
-    if base.verdict in (REFUTED, INCONCLUSIVE):
-        return cert(list(base.steps), base.verdict, dict(base.verdict_detail))
+    ext = base if base.verdict in (REFUTED, INCONCLUSIVE) else cyclotomic_descent(base, p, r)
+    if ext.verdict in (REFUTED, INCONCLUSIVE):  # the claim over Q(zeta_p) is not established
+        return cert(ext.steps, ext.verdict, ext.verdict_detail)
 
-    ext = cyclotomic_descent(base, p, r)
-    if ext.verdict == INCONCLUSIVE:
-        return cert(list(ext.steps), INCONCLUSIVE, dict(ext.verdict_detail))
-
-    steps = list(ext.steps)
-
+    steps = ext.steps
     table = multiplicity_table(p, r)
     distinct = multiplicities_distinct(p, r)
     d = dim_prym(p, m)
@@ -675,9 +662,8 @@ def certify_prym(
     if failed:
         return cert(steps, INCONCLUSIVE, {"failed_premise": failed})
 
-    checked_galois = ext.verdict == DETERMINISTIC
     claims = [
-        {"statement": claim, "checked": checked_galois, "via": "CyclotomicDescent"},
+        *ext.claims,
         {"statement": f"dim Prym = {d}", "checked": True, "via": "EigenvalueMultiplicities"},
         {
             "statement": f"End(Prym) = Z[zeta_{p}]",
@@ -701,10 +687,7 @@ def certify_prym(
             "via": "NonJacobian",
         },
     ]
-    detail = {}
-    if ext.verdict == PROBABILISTIC:
-        detail = dict(ext.verdict_detail)
-    return cert(steps, ext.verdict, detail, claims)
+    return cert(steps, ext.verdict, ext.verdict_detail, claims)
 
 
 # ---------------------------------------------------------------------------

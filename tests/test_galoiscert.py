@@ -38,8 +38,11 @@ from prymcert.intpoly import (
     parse_poly,
     primes,
     trinomial,
+    trinomial_disc,
 )
+from prymcert.prymcalc import ConditionPR
 from prymcert.signedperm import (
+    EnumerationBudgetError,
     GroupDescriptor,
     IsSm,
     SignedPerm,
@@ -105,6 +108,15 @@ def test_chebotarev_rejects_repeated_factor():
     for h, m in ((compose_x2(trinomial(3, 0)), 3), (parse_poly("x^4"), 2)):
         with pytest.raises(ValueError, match="not squarefree"):
             chebotarev_verdict(h, GroupDescriptor.wdm(m), 10)
+
+
+def test_sampling_refuses_an_over_budget_census_before_the_discriminant(monkeypatch):
+    def no_disc(f):
+        raise AssertionError("disc(h) computed before the census budget was checked")
+
+    monkeypatch.setattr(galoiscert, "discriminant", no_disc)
+    with pytest.raises(EnumerationBudgetError):
+        chebotarev_verdict(parse_poly("x^18 - x^2 - 1"), GroupDescriptor.wdm(9), 10)
 
 
 def test_chebotarev_subsampling_is_seed_deterministic():
@@ -692,3 +704,62 @@ def test_a_pool_below_samples_samples_the_first_samples_primes():
     for pool in (50, -1):
         report = chebotarev_verdict(h, GroupDescriptor.wdm(3), 100, seed=1, pool=pool)
         assert report.to_json() == plain
+
+
+# ---------------------------------------------------------------------------
+# the descent's second premise: equivalent to condition (3), reached only forced
+# ---------------------------------------------------------------------------
+
+
+def test_descent_congruence_makes_the_disc_premise_condition_3():
+    # m = pr - 1 = -1 (mod p) and Fermat: p | disc(u) exactly when p | 1 + 2^(r-2)
+    for p in primes(3):
+        if p > 61:
+            break
+        for r in range(2, 41, 2):
+            m = p * r - 1
+            sign = (-1) ** (m * (m - 1) // 2)
+            assert trinomial_disc(m, 1) % p == -sign * (1 + 2 ** (r - 2)) % p, (p, r)
+
+
+def _passing_condition(p, r):
+    return ConditionPR(p, r, 1, True, False, False)
+
+
+_FORCED_DESCENTS = {
+    "certify_prym": lambda: certify_prym(5, 4),
+    "cyclotomic_descent": lambda: cyclotomic_descent(certify_wdm_over_Q(19, 1), 5, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_FORCED_DESCENTS))
+def test_a_failed_disc_premise_ends_the_descent(monkeypatch, name):
+    monkeypatch.setattr(galoiscert, "condition_p_r", _passing_condition)
+    cert = _FORCED_DESCENTS[name]()
+    assert cert.verdict == "Inconclusive"
+    assert cert.verdict_detail == {"failed_premise": "p does not divide disc(u(x^2))",
+                                   "base_verdict": "Deterministic"}
+    assert cert.steps[-1].rule == "CyclotomicDescent"
+    assert cert.claims == []
+    assert verify_replay(json.loads(cert.canonical()))
+
+
+def test_a_refuted_base_ends_verify_before_the_descent(monkeypatch):
+    monkeypatch.setattr(galoiscert, "census", _census_without_observed_types)
+    cert = certify_prym(3, 2, samples=100)
+    assert cert.verdict == "Refuted"
+    assert cert.steps[-1].rule == "ChebotarevVerdict"
+    assert cert.claims == []
+    assert verify_replay(json.loads(cert.canonical()))
+
+
+def test_descent_refuses_an_inconclusive_base():
+    base = certify_wdm_over_Q(11, 1, prime_budget=5)
+    assert base.verdict == "Inconclusive"
+    with pytest.raises(ValueError, match="does not establish the claim over Q"):
+        cyclotomic_descent(base, 3, 4)
+
+
+def test_even_containment_rejects_a_repeated_factor():
+    with pytest.raises(ValueError, match="u must be squarefree"):
+        even_containment(parse_poly("x^3 - x^2 - x + 1"))  # (x - 1)^2 (x + 1)

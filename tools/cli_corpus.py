@@ -21,6 +21,7 @@ VERIFY = [
     *[["verify", "--p", p, "--r", r] for p, r in [
         ("3", "2"), ("5", "2"), ("3", "4"), ("7", "2"), ("11", "2"),
         ("3", "8"), ("5", "4"), ("3", "3"), ("7", "8"), ("3", "10"),
+        ("13", "8"), ("17", "6"),  # condition (3) fails, as at (5, 4)
     ]],
     ["verify", "--p", "3", "--r", "2", "--prime-budget", "1"],
 ]
@@ -47,6 +48,9 @@ CORPUS = [
     ["galois", "--m", "9", "--mode", "sample", "--samples", "20"],
     ["galois", "--poly", "x^602 - x^2 - 1", "--mode", "sample", "--samples", "20"],
     ["galois", "--poly", "x^4002 - x^2 - 1", "--mode", "sample", "--samples", "20"],
+    # refused by the census budget before disc(h), repeated factor or not
+    ["galois", "--poly", "x^18", "--mode", "sample", "--samples", "20"],
+    ["galois", "--poly", "x^20002 - x^2 - 1", "--mode", "sample", "--samples", "20"],
     ["galois", "--m", "4"],
     ["galois", "--poly", "bad(", "--mode", "sample"],
     ["verify", "--p", "4", "--r", "2"],
