@@ -5,8 +5,8 @@ writes the document through one output path, as canonical JSON or as
 render(document, format), which reads the document alone (text, or csv for
 `scan`).  Exit codes: 0 = deterministic verdict, 1 = refuted, 2 =
 probabilistic or inconclusive, 3 = usage error, including an input too
-large to hold in memory.  Every command is deterministic given its flags,
-and repeated runs emit byte-identical JSON.
+large to hold in memory or to index a list.  Every command is deterministic
+given its flags, and repeated runs emit byte-identical JSON.
 
 Each command imports the modules it runs, after its arguments are parsed
 and checked: `verify` and `galois` load the certificate engine (galoiscert,
@@ -390,9 +390,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
-        # not Refuted (exit 1): the input was too large to hold in memory
-        print(f"{TOOL_NAME}: error: out of memory: the input is too large", file=sys.stderr)
+    except (MemoryError, OverflowError) as exc:  # not Refuted (exit 1): too large an input
+        what = "out of memory" if isinstance(exc, MemoryError) else "overflow"
+        print(f"{TOOL_NAME}: error: {what}: the input is too large", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -49,7 +49,6 @@ from . import (  # the shared constants, re-exported
     TOOL_VERSION,
     canonical_json,
 )
-from ._primes import is_prime
 from ._record import Record
 from .intpoly import (
     Certified,
@@ -64,7 +63,6 @@ from .intpoly import (
     discriminant,
     format_poly,
     is_square,
-    poly_gcd,
     trinomial,
     unramified_factor_degrees,
 )
@@ -192,10 +190,7 @@ def find_refutation(types, support) -> CycleType | None:
     cycle type of an actual group element, so a type outside the census
     support contradicts the claimed group unconditionally.
     """
-    for t in types:
-        if CycleType(t) not in support:
-            return CycleType(t)
-    return None
+    return next((ct for ct in map(CycleType, types) if ct not in support), None)
 
 
 def unramified_frobenius_samples(h: IntPoly, samples: int):
@@ -203,17 +198,10 @@ def unramified_frobenius_samples(h: IntPoly, samples: int):
 
     Primes divide neither the leading coefficient nor the discriminant, in
     increasing order, so the stream is deterministic.  A polynomial with a
-    repeated factor has no unramified prime and is rejected with a
-    ValueError on the call, before any prime is tried.
+    repeated factor has no unramified prime: the first prime requested
+    raises unramified_factor_degrees's ValueError, which names the factor.
     """
-    disc = discriminant(h)
-    if disc == 0:
-        raise ValueError(
-            f"{format_poly(h)} is not squarefree: it shares the factor "
-            f"{format_poly(poly_gcd(h, h.derivative()))} with its derivative, "
-            "so every prime is ramified"
-        )
-    return islice(unramified_factor_degrees(h, disc), samples)
+    return islice(unramified_factor_degrees(h, discriminant(h)), samples)
 
 
 def chebotarev_verdict(
@@ -258,7 +246,7 @@ def chebotarev_verdict(
     refuting_prime = refuting_type = None
     for q, ct in stream:
         qs.append(q)
-        if ct not in support:
+        if find_refutation([ct], support) is not None:
             refuting_prime, refuting_type = q, list(ct)
             break
         observed[ct] = observed.get(ct, 0) + 1
@@ -337,12 +325,13 @@ def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
     u irreducible mod q and the first q whose cycle type has a prime cycle
     certifying S_m by Jordan, each None when the budget runs out first.  The
     Jordan search assumes u irreducible, so its verdict counts only together
-    with the irreducibility witness.  It is skipped where no cycle type
-    certifies S_m: when disc(u) is a square or no prime lies in (m/2, m - 2),
-    as for every m <= 7, whose walk ends at the irreducibility witness.
+    with the irreducibility witness.  The walk looks for a Jordan prime
+    exactly when the chain reads one, m >= DET_MIN_M and disc(u) not a
+    square; for odd m < DET_MIN_M no prime lies in sm_certificate's window
+    (m/2, m - 2), and the walk ends at the irreducibility witness.
     """
     m = u.degree
-    want_jordan = not is_square(disc_u) and any(map(is_prime, range(m // 2 + 1, m - 2)))
+    want_jordan = m >= DET_MIN_M and not is_square(disc_u)
     witness = jordan = None
     for q, ct in unramified_factor_degrees(u, disc_u, prime_budget):
         if witness is None and ct == CycleType([m]):

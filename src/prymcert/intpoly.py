@@ -33,7 +33,7 @@ L-cycles on the roots of f or becomes one 2L-cycle, according to whether
 its root b is a square in F_(q^L).  The factors of g of one degree d,
 found as one product, are split by one gcd with y^((q^d-1)/2) - 1, whose
 roots are the squares.  The route is exact, with no equal-degree
-splitting and no randomness.
+splitting and no randomness.  sign_lift states this lift for signedperm too.
 
 unramified_factor_degrees is the one walk over the primes: every scan of a
 polynomial's Frobenius types (irreducibility witnesses, the Jordan cycle,
@@ -262,6 +262,11 @@ class CycleType(tuple):
 
     def __repr__(self) -> str:
         return f"CycleType({list(self)})"
+
+
+def sign_lift(length: int, sign: int) -> tuple[int, ...]:
+    """The cycles over one cycle of this length and sign: (L, L) for +1, (2L,) for -1."""
+    return (length, length) if sign == 1 else (2 * length,)
 
 
 class _RamifiedType:
@@ -782,8 +787,8 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
             # a root of part lies in F_(q^d), and is a square there iff
             # B_d = y^((q^d-1)/2) is 1 at it
             b = [c % q for c in frobenius_map.half(d)]
-            squares = len(_fq_gcd([b[0] - 1] + b[1:], part, q)) - 1
-            degrees.extend([d] * (2 * squares // d) + [2 * d] * ((e - squares) // d))
+            squares = (len(_fq_gcd([b[0] - 1] + b[1:], part, q)) - 1) // d  # factors of sign +1
+            degrees.extend(sign_lift(d, 1) * squares + sign_lift(d, -1) * (e // d - squares))
 
     degrees: list[int] = []
     v = f  # the cofactor of the factors found so far; it divides f, so t stays mod f
@@ -829,15 +834,15 @@ def _trace_table(n: int, s: int) -> dict[tuple[int, ...], CycleType]:
     Factors of g of degree d and sign e give the key N_k = sum of d over d | k
     and, when s = 2, T_k = sum of d e^(k/d) over d | k, for k = 1..n // 2,
     then the product of the e (1 when s = 1); and factors [d] of f when s = 1,
-    else [d, d] for e = +1 and [2d] for e = -1.
+    else sign_lift(d, e): [d, d] for e = +1 and [2d] for e = -1.
     """
     ks = range(1, n // 2 + 1)
-    states = [(0, [0] * (len(ks) * s), 1, [])]  # (degree of g, traces, sign, factors of f)
+    states = [(0, [0] * (len(ks) * s), 1, ())]  # (degree of g, traces, sign, factors of f)
     for d in range(1, n + 1):
         for e in (1, -1)[:s]:
             # what the factor adds to N_1.., then (t = 1) to T_1..
             terms = [d * e ** (k // d * t) if k % d == 0 else 0 for t in range(s) for k in ks]
-            factors = [d] if s == 1 else [d, d] if e == 1 else [2 * d]
+            factors = (d,) if s == 1 else sign_lift(d, e)
             for degree, traces, sign, degrees in states:  # and the states it appends
                 if degree + d <= n:
                     traces = [a + b for a, b in zip(traces, terms)]
@@ -848,15 +853,16 @@ def _trace_table(n: int, s: int) -> dict[tuple[int, ...], CycleType]:
 def unramified_factor_degrees(f: IntPoly, disc: int, prime_budget: int | None = None):
     """Yield (q, factor degrees of f mod q) over the unramified primes q.
 
-    disc is the discriminant of f, which must be nonzero.  The primes are
-    those dividing neither lc(f) nor disc, in increasing order, so f mod q is
-    squarefree of degree deg f and every yielded value is a CycleType; the
-    kernel runs without reduce_and_factor_degrees's checks, which these
-    primes pass.  The stream ends after the last prime <= prime_budget, or
-    never when there is no budget.  It goes in batches of 1, 2, 4, ... up to
-    _BATCH_CAP consecutive primes, one _Frobenius mod their product each,
-    computed on reaching the batch, so a walk that stops early powers about
-    what it yields; no batch holds a prime past the budget.
+    disc is the discriminant of f; when it is 0 (no unramified prime), the
+    first prime requested raises a ValueError naming f's repeated factor.
+    The primes are those dividing neither lc(f) nor disc, in increasing
+    order, so f mod q is squarefree of degree deg f and every yielded value
+    is a CycleType; the kernel runs without reduce_and_factor_degrees's
+    checks, which these primes pass.  The stream ends after the last prime
+    <= prime_budget, or never when there is no budget.  It goes in batches
+    of 1, 2, 4, ... up to _BATCH_CAP consecutive primes, one _Frobenius mod
+    their product each, computed on reaching the batch, so a walk that stops
+    early powers about what it yields; no batch holds a prime past the budget.
 
     For n = deg g <= _TRACE_MAX_N, f = g(x^s), a prime q > 2n takes its type
     from the batch's _Frobenius.traces(n // 2): Tr(Q^k) = sum over d | k of
@@ -870,7 +876,9 @@ def unramified_factor_degrees(f: IntPoly, disc: int, prime_budget: int | None = 
     the DDF walk's time at n = 12, and 0.80 and 1.20 at n = 13.
     """
     if disc == 0:
-        raise ValueError("a polynomial with a repeated factor has no unramified prime")
+        raise ValueError(f"{format_poly(f)} is not squarefree: it shares the factor "
+                         f"{format_poly(poly_gcd(f, f.derivative()))} with its derivative, "
+                         "so every prime is ramified")
     # f(x) = g(x^2) is factored at half the degree; it is a square mod 2
     # (g(x^2) = g(x)^2 over F_2), so 2 divides disc or lc(f) and every q is odd
     s = 1 if any(f.coeffs[1::2]) else 2

@@ -15,7 +15,7 @@ element; one-point stabilizers come from Schreier generators, so no
 strong-generating-set machinery is needed.
 
 Cycle types serialize as sorted integer lists, e.g. [2, 4]; descriptors as
-{"kind": "WDm", "m": 5}.
+{"kind": "WDm", "m": 5}.  A cycle of s lifts to labels by intpoly.sign_lift.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 
 from ._primes import is_prime
 from ._record import Record
-from .intpoly import CycleType
+from .intpoly import CycleType, sign_lift
 
 # census / element-enumeration budget: group order at most 2^7 * 8!
 DEFAULT_ENUM_BUDGET = 2**7 * math.factorial(8)
@@ -191,21 +191,12 @@ def _cycles_of(s: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
-def _label_cycles(length: int, sign: int) -> tuple[int, ...]:
-    """The label cycles over one cycle of s of this length and sign product.
-
-    {L, L} when the product of signs along it is +1 (the + and - tracks stay
-    separate) and {2L} when it is -1 (the tracks merge).
-    """
-    return (length, length) if sign == 1 else (2 * length,)
-
-
 def induced_cycle_type(g: SignedPerm) -> CycleType:
-    """Cycle type of the action on the 2m nonzero labels."""
+    """Cycle type of the action on the 2m nonzero labels, by intpoly.sign_lift."""
     return CycleType([
         n
         for cyc in _cycles_of(g.s)
-        for n in _label_cycles(len(cyc), math.prod(g.eps[i] for i in cyc))
+        for n in sign_lift(len(cyc), math.prod(g.eps[i] for i in cyc))
     ])
 
 
@@ -397,17 +388,27 @@ class GroupDescriptor(Record):
         return doc
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n >= 1, found without printing n.
+
+    n has the digits of 2^(b-1), b its bit length, or one more.  The float
+    floor is exact for b <= 5e7: (b-1) log10 2 stays at least 1.4e-8 from an
+    integer there (by the convergents of log10 2), beyond the float's error.
+    """
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return digits + (n >= 10**digits)
+
+
 def _check_budget(desc: GroupDescriptor, budget: int) -> None:
     known = desc.order()
     if known is not None and known > budget:
-        if known < 10**640:  # str() prints this many digits under every int-to-str limit
-            order = str(known)
-        else:  # Decimal is exact and not bound by that limit
+        digits = _decimal_digits(known)
+        if digits > 4300:  # the default int-to-str limit: a longer order is named by its length
+            order = f"with {digits} decimal digits"
+        else:  # Decimal is exact and not bound by any int-to-str limit
             from decimal import Decimal  # off every path but this error
 
             order = str(Decimal(known))
-            if len(order) > 4300:  # the default limit: a longer order is named by its length
-                order = f"with {len(order)} decimal digits"
         raise EnumerationBudgetError(f"group of order {order} exceeds enumeration budget {budget}")
 
 
@@ -495,7 +496,7 @@ def census(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> dict[Cyc
         for sigma in sigmas:
             if signs == "even" and math.prod(sigma) != 1:
                 continue
-            ct = CycleType([n for L, sg in zip(lens, sigma) for n in _label_cycles(L, sg)])
+            ct = CycleType([n for L, sg in zip(lens, sigma) for n in sign_lift(L, sg)])
             counts[ct] = counts.get(ct, 0) + weight
     return counts
 

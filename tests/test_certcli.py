@@ -412,3 +412,25 @@ def test_output_file_receives_exactly_stdout(tmp_path, capsys):
         assert run([*args, "--output", str(out)]) == code, args
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == stdout.encode(), args
+
+
+def test_integers_past_an_index_are_usage_errors(capsys):
+    # a degree past sys.maxsize cannot size a list: exit 3 with one line,
+    # never exit 1 (Refuted) with an OverflowError traceback
+    for args in (
+        ["galois", "--m", "100000000000000000000001"],
+        ["galois", "--m", "100000000000000000000001", "--mode", "sample"],
+        ["galois", "--poly", "x^100000000000000000000000 - x^2 - 1", "--mode", "sample",
+         "--samples", "10"],
+    ):
+        assert run(args) == 3, args
+        assert capsys.readouterr().err == "prymcert: error: overflow: the input is too large\n"
+
+
+def test_verify_refuses_a_strong_pseudoprime(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes Miller-Rabin
+    # to every base <= 37; taken for prime, it overflowed building u
+    assert run(["verify", "--p", "318665857834031151167461", "--r", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "prymcert: error: p must be an odd prime, got 318665857834031151167461\n"
+    )

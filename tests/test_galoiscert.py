@@ -14,6 +14,7 @@ import prymcert
 from prymcert import galoiscert, intpoly
 from prymcert.galoiscert import (
     _REPLAY_KEYS,
+    DET_MIN_M,
     Containment,
     _witness_walk,
     certify_prym,
@@ -34,6 +35,7 @@ from prymcert.intpoly import (
     disc_of_even_composite,
     discriminant,
     irreducible_over_Q,
+    is_prime,
     is_square,
     parse_poly,
     primes,
@@ -126,6 +128,33 @@ def test_chebotarev_subsampling_is_seed_deterministic():
     c = chebotarev_verdict(h, GroupDescriptor.wdm(3), 50, seed=2, pool=120)
     assert a.to_json() == b.to_json()
     assert a.prime_range != c.prime_range or a.classes != c.classes
+
+
+def test_a_lone_2m_cycle_is_refuted():
+    # one m-cycle of sign -1 lifts to one 2m-cycle, whose sign product is odd:
+    # no element of W(D_m) has type [2m], through find_refutation or sampling
+    for m in (3, 5):
+        support = set(census(GroupDescriptor.wdm(m)))
+        lone = CycleType([2 * m])
+        assert find_refutation([lone], support) == lone
+        assert find_refutation([CycleType([m, m]), lone], support) == lone
+
+
+def test_chebotarev_verdict_refutes_a_lone_2m_cycle(monkeypatch):
+    for m in (3, 5):
+        stream = [(q, CycleType([2 * m])) for q in (101, 103)]
+        monkeypatch.setattr(galoiscert, "unramified_frobenius_samples", lambda h, n: iter(stream))
+        report = chebotarev_verdict(compose_x2(trinomial(m, 1)), GroupDescriptor.wdm(m), 10)
+        assert not report.consistent
+        assert (report.refuting_prime, report.refuting_type, report.samples) == (101, [2 * m], 1)
+
+
+def test_jordan_window_holds_a_prime_exactly_from_det_min_m():
+    # _witness_walk looks for a Jordan prime from DET_MIN_M on (disc(u) not a
+    # square): for odd m that is where sm_certificate's window (m/2, m - 2)
+    # first holds a prime
+    for m in range(3, 400, 2):
+        assert any(map(is_prime, range(m // 2 + 1, m - 2))) == (m >= DET_MIN_M), m
 
 
 def test_refutation_soundness_on_injected_types():

@@ -149,3 +149,27 @@ def test_non_jacobian_inequality_matches_rational_oracle():
             rhs = Fraction(2 * d, p * (p - 1)) - Fraction(p - 2, p)
             assert non_jacobian_inequality(p, r) == (Fraction(r - 1) < rhs), (p, r)
     assert not non_jacobian_inequality(2, 5)
+
+
+def test_strong_pseudoprimes_to_the_bases_up_to_37_are_composite():
+    # the first is a strong pseudoprime to every base <= 37, the second to every
+    # base <= 41: Miller-Rabin over the primes <= 41 is exact below the second
+    from prymcert._primes import _MR_BASES, is_prime
+
+    psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        FamilyParams(psi_12, 2)
+
+    def strong_probable_prime(n, a):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(a, d, n)
+        return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+    assert _MR_BASES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert all(strong_probable_prime(psi_12, a) for a in _MR_BASES[:-1])
+    assert not strong_probable_prime(psi_12, 41)
+    assert all(strong_probable_prime(psi_13, a) for a in _MR_BASES)

@@ -338,3 +338,30 @@ def test_census_budget_message_ignores_the_int_to_str_limit():
             assert {m: message(m) for m in expected} == expected, limit
     finally:
         sys.set_int_max_str_digits(default)
+
+
+def test_decimal_digit_count_at_powers_of_ten():
+    # the budget message counts digits from the bit length, never by printing
+    from prymcert.signedperm import _decimal_digits
+
+    for k in (1, 2, 639, 640, 641, 4299, 4300, 4301, 100_000):
+        assert _decimal_digits(10**k - 1) == k
+        assert _decimal_digits(10**k) == _decimal_digits(10**k + 1) == k + 1
+    assert [_decimal_digits(n) for n in (1, 9, 10, 5160960)] == [1, 1, 2, 7]
+
+
+def test_census_budget_refusal_is_quick_for_an_order_far_past_the_limit():
+    # |W(D_100001)| has 486682 digits; printing them took seconds
+    import time
+
+    start = time.process_time()
+    with pytest.raises(EnumerationBudgetError, match="with 486682 decimal digits"):
+        census(GroupDescriptor.wdm(100001))
+    assert time.process_time() - start < 2
+
+
+def test_sm_certificate_needs_a_cycle_longer_than_half():
+    # S_5 wr S_2 is transitive and imprimitive on 10 points and holds an element
+    # of type [5, 5]: a 5-cycle is no Jordan witness for m = 10 (5 is not > 10/2)
+    assert isinstance(sm_certificate([CycleType([5, 5])], False, True, 10), SmInconclusive)
+    assert isinstance(sm_certificate([CycleType([7, 3])], False, True, 10), IsSm)

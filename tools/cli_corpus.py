@@ -58,6 +58,16 @@ CORPUS = [
     ["scan", "--p-max", "1", "--r-max", "4"],
     *[["invariants", "--p", "5", "--r", "4", "--format", f] for f in ("json", "text")],
     ["invariants", "--p", "2", "--r", "2"],
+    # the trace route for an odd polynomial (u itself, n = 11), and the
+    # repeated-factor refusal of the prime walk
+    ["galois", "--m", "11", "--c", "25"],
+    ["galois", "--poly", "x^6 - 2x^4 + x^2", "--mode", "sample", "--samples", "10"],
+    # p is a strong pseudoprime to the bases <= 37; integers past an index
+    ["verify", "--p", "318665857834031151167461", "--r", "2"],
+    *[["galois", "--m", "100000000000000000000001", "--mode", mode]
+      for mode in ("certify", "sample")],
+    ["galois", "--poly", "x^100000000000000000000000 - x^2 - 1",
+     "--mode", "sample", "--samples", "10"],
 ]
 
 
