@@ -17,7 +17,7 @@ moduli are rejected.  The internal helpers take any 2-D integer sequence.
 The commutant dimension is counted from the action matrices themselves.
 When every generator acts monomially (e_j -> a_j e_sigma(j), as on the
 delta and odd bases), the commutant has a basis indexed by the consistent
-orbits of signed index pairs, counted by a weighted union-find in
+orbits of signed index pairs, counted by one walk over those orbits in
 O(#gens . dim^2).  Otherwise it is the exact null space of the stacked
 commutation constraints, which also serves the tests as the reference.  The
 orbit-counting rule for transitive permutation modules is computed
@@ -289,48 +289,29 @@ def _orbit_commutant_dim(forms: list[tuple[list[int], list[int]]], d: int, p: in
     """Commutant dimension of monomial actions by signed orbit counting.
 
     X commutes with e_j -> a_j e_sigma(j) iff X[sigma i, sigma j] =
-    a_i a_j^(-1) X[i, j] for all i, j.  Each such condition is an edge of a
-    graph on the d^2 entries carrying a factor in F_p^*; along a spanning
-    tree one entry determines its whole component, and a cycle whose factors
-    multiply to anything but 1 forces the component to zero.  So the
-    dimension is the number of components without such a cycle, found by a
-    union-find that keeps X[u] = weight[u] * X[parent[u]].
+    a_i a_j^(-1) X[i, j] (as in Mackey's formula), so a walk from X = 1 fixes
+    an orbit of index pairs; the orbit adds one dimension unless some edge
+    meets an entry already holding a different value, forcing it to zero.
     """
-    n = d * d
-    parent = list(range(n))
-    weight = [1] * n
-    forced_zero = [False] * n
-
-    def find(u: int) -> tuple[int, int]:
-        """(root, w) with X[u] = w * X[root]; compresses the path."""
-        path = []
-        while parent[u] != u:
-            path.append(u)
-            u = parent[u]
-        w = 1
-        for v in reversed(path):
-            w = w * weight[v] % p
-            weight[v] = w
-            parent[v] = u
-        return u, w
-
-    for sigma, a in forms:
-        a_inv = [pow(x, -1, p) for x in a]
-        for i in range(d):
-            row, si = i * d, sigma[i] * d
-            for j in range(d):
-                # X[v] = f * X[u] for the entries u = (i, j), v = (sigma i, sigma j)
-                f = a[i] * a_inv[j] % p
-                ru, wu = find(row + j)
-                rv, wv = find(si + sigma[j])
-                if ru == rv:
-                    if wv != f * wu % p:
-                        forced_zero[ru] = True
-                else:
-                    parent[rv] = ru
-                    weight[rv] = f * wu * pow(wv, -1, p) % p
-                    forced_zero[ru] = forced_zero[ru] or forced_zero[rv]
-    return sum(1 for u in range(n) if parent[u] == u and not forced_zero[u])
+    gens = [(sigma, a, [pow(x, -1, p) for x in a]) for sigma, a in forms]
+    X = [0] * (d * d)  # 0: not reached, since every reached entry holds a unit mod p
+    dim = 0
+    for start in range(d * d):
+        if X[start]:
+            continue
+        X[start], stack, consistent = 1, [start], True
+        while stack:
+            i, j = divmod(u := stack.pop(), d)
+            for sigma, a, a_inv in gens:
+                v = sigma[i] * d + sigma[j]
+                value = a[i] * a_inv[j] * X[u] % p
+                if not X[v]:
+                    X[v] = value
+                    stack.append(v)
+                elif X[v] != value:
+                    consistent = False
+        dim += consistent
+    return dim
 
 
 def _dense_commutant_dim(mats, d: int, p: int) -> int:

@@ -32,7 +32,8 @@ Frobenius cycle of length L on the roots of g either splits into two
 L-cycles on the roots of f or becomes one 2L-cycle, according to whether
 its root b is a square in F_(q^L).  The factors of g of one degree d,
 found as one product, are split by one gcd with y^((q^d-1)/2) - 1, whose
-roots are the squares.  The route is exact, with no equal-degree
+roots are the squares, and a lone factor v by the Legendre symbol of its
+root's norm (-1)^d v(0).  The route is exact, with no equal-degree
 splitting and no randomness.  sign_lift states this lift for signedperm too.
 
 unramified_factor_degrees is the one walk over the primes: every scan of a
@@ -635,11 +636,11 @@ def reduce_and_factor_degrees(f: IntPoly, q: int):
     F_q[y]/(g) with y = x^2.  It is squarefree iff g is and g(0) != 0.  The
     powering goes through A = y^((q-1)/2) to Y = y A^2 = y^q, and the same
     blocked loop runs on g with t_d = y^(q^d) - y (y does not divide g).
-    An irreducible factor of g of degree e with root b gives two factors of
-    f of degree e when b is a square in F_(q^e), else one of degree 2e.
-    Each part found, the product of the factors of g of one degree d, is
-    split by gcd(B_d - 1, part), whose roots are exactly the squares;
-    B_d = y^((q^d-1)/2) steps from B_1 = A as B_(k+1) = B_k^q A.
+    An irreducible factor v of g of degree e with root b gives two factors
+    of f of degree e when b is a square in F_(q^e), else one of degree 2e.
+    A lone v is typed by whether its norm (-1)^e v(0) is a square mod q; a
+    part of several factors of degree d <= n // 2 by gcd(B_d - 1, part),
+    B_d = y^((q^d-1)/2) = B_(d-1)^q A (B_1 = A), whose roots are the squares.
     """
     if f.degree < 1:
         raise ValueError("factor degrees require a nonconstant polynomial")
@@ -783,6 +784,8 @@ def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
         e = len(part) - 1
         if s == 1:
             degrees.extend([d] * (e // d))
+        elif e == d:  # one factor: its root is a square iff its norm (-1)^d part(0) is
+            degrees.extend(sign_lift(d, 1 if pow((-1) ** d * part[0], q // 2, q) == 1 else -1))
         else:
             # a root of part lies in F_(q^d), and is a square there iff
             # B_d = y^((q^d-1)/2) is 1 at it

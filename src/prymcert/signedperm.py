@@ -368,18 +368,20 @@ class GroupDescriptor(Record):
             )
         return self.gens
 
-    def order(self) -> int | None:
-        """Group order from the kind table for the named kinds, None otherwise."""
+    def _order_terms(self) -> tuple[bool, int] | None:
+        """(f, t) with order m!^f 2^t, t >= -1, for the named kinds; None otherwise."""
         if self.kind not in _KINDS:
             return None
         perms, signs = _KINDS[self.kind]
-        m = self.m
-        n_perms = {
-            "all": math.factorial(m),
-            "even": math.factorial(m) // 2 if m >= 2 else 1,
-            "identity": 1,
-        }[perms]
-        return n_perms * {"none": 1, "all": 2**m, "even": 2 ** (m - 1)}[signs]
+        twos = {"none": 0, "all": self.m, "even": self.m - 1}[signs]
+        return perms != "identity", twos - (perms == "even" and self.m >= 2)
+
+    def order(self) -> int | None:
+        """Group order from the kind table for the named kinds, None otherwise."""
+        if (terms := self._order_terms()) is None:
+            return None
+        n = math.factorial(self.m) if terms[0] else 1
+        return n << terms[1] if terms[1] >= 0 else n >> 1
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "m": self.m}
@@ -399,17 +401,30 @@ def _decimal_digits(n: int) -> int:
     return digits + (n >= 10**digits)
 
 
-def _check_budget(desc: GroupDescriptor, budget: int) -> None:
-    known = desc.order()
-    if known is not None and known > budget:
-        digits = _decimal_digits(known)
-        if digits > 4300:  # the default int-to-str limit: a longer order is named by its length
-            order = f"with {digits} decimal digits"
-        else:  # Decimal is exact and not bound by any int-to-str limit
-            from decimal import Decimal  # off every path but this error
+def _order_digits(desc: GroupDescriptor) -> int | None:
+    """Decimal digits of a named kind's order from lgamma; None for other kinds."""
+    if (terms := desc._order_terms()) is None:
+        return None
+    log10 = terms[0] * math.lgamma(desc.m + 1) / math.log(10) + terms[1] * math.log10(2)
+    # off by a few units in its last place: near an integer, the exact order decides
+    if abs(log10 - round(log10)) < max(1e-6, 1e-13 * log10):
+        return _decimal_digits(desc.order())
+    return int(log10) + 1
 
-            order = str(Decimal(known))
-        raise EnumerationBudgetError(f"group of order {order} exceeds enumeration budget {budget}")
+
+def _check_budget(desc: GroupDescriptor, budget: int) -> None:
+    digits = _order_digits(desc)
+    if digits is None or digits <= max(4300, _decimal_digits(budget)):
+        known = desc.order()  # it may fit the budget, or be short enough to print
+        if known is None or known <= budget:
+            return
+    if digits > 4300:  # the default int-to-str limit: a longer order is named by its length
+        order = f"with {digits} decimal digits"
+    else:  # Decimal is exact and not bound by any int-to-str limit
+        from decimal import Decimal  # off every path but this error
+
+        order = str(Decimal(known))
+    raise EnumerationBudgetError(f"group of order {order} exceeds enumeration budget {budget}")
 
 
 def _closure(start, images, budget: int | None = None) -> set:

@@ -22,7 +22,7 @@ from prymcert.fpmodule import (
     vf_plus_space,
     vf_space,
 )
-from prymcert.fpmodule import _dense_commutant_dim, _monomial_form, _rank
+from prymcert.fpmodule import _dense_commutant_dim, _monomial_form, _orbit_commutant_dim, _rank
 from prymcert.fpmodule import _heart_is_irreducible, _spin_dimension_f2
 from prymcert.fpmodule import _solve_in_span
 from prymcert.signedperm import GroupDescriptor, SignedPerm, orbits, roots_h
@@ -134,6 +134,33 @@ def test_signed_orbit_count_matches_dense_null_space():
         gens = [SignedPerm.random(m, rng) for _ in range(rng.randint(0, 3))]
         for space in (odd_space(m, p), function_space_on_roots(m, p)):
             assert commutant_dim(gens, space) == _dense_reference(gens, space), (m, p, gens)
+
+
+def test_orbit_walk_matches_dense_null_space_for_any_scalars():
+    # e_j -> a_j e_sigma(j) with any nonzero a_j mod p, not only +-1.  Two
+    # cycles whose scalar products differ force the orbits of pairs between
+    # them to zero: diag(1, 2) mod 5 commutes only with diagonal X
+    diag = [[1, 0], [0, 2]]
+    assert _orbit_commutant_dim([_monomial_form(diag)], 2, 5) == 2
+    assert _dense_commutant_dim([diag], 2, 5) == 2
+    rng = random.Random(71)
+    forced = 0
+    for _ in range(400):
+        p = rng.choice((3, 5, 7, 11, 13))
+        d = rng.randint(1, 6)
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            sigma = rng.sample(range(d), d)
+            A = [[0] * d for _ in range(d)]
+            for j in range(d):
+                A[sigma[j]][j] = rng.randint(1, p - 1)
+            mats.append(A)
+        forms = [_monomial_form(A) for A in mats]
+        dim = _orbit_commutant_dim(forms, d, p)
+        assert dim == _dense_commutant_dim(mats, d, p), (p, mats)
+        # fewer than the orbits of index pairs: some orbit was forced to zero
+        forced += dim < _orbit_commutant_dim([(sigma, [1] * d) for sigma, _ in forms], d, p)
+    assert forced > 100
 
 
 def test_sign_group_commutant_closed_form():

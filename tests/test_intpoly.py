@@ -771,6 +771,29 @@ def test_batched_walk_matches_batch_of_one_on_the_sampling_runs(monkeypatch):
         assert m == 7 or not {19, 151} & set(qs)
 
 
+def test_s2_kernel_steps_half_only_to_half_the_degree(monkeypatch):
+    # a part that is one factor of g is typed by the Legendre symbol of its
+    # root's norm, so B_d = y^((q^d-1)/2) is asked only for d <= deg g // 2
+    from prymcert import intpoly
+
+    asked = []
+    half = intpoly._Frobenius.half
+
+    def logged(self, d):
+        asked.append((d, self.n))
+        return half(self, d)
+
+    monkeypatch.setattr(intpoly._Frobenius, "half", logged)
+    f = parse_poly("x^122 - x^2 - 1")
+    for q in (3, 5, 7, 11, 13, 17, 19, 23):
+        reduce_and_factor_degrees(f, q)
+    for m in (5, 7):  # the sampling walks of galois --m 5 and 7
+        h = compose_x2(trinomial(m, 1))
+        list(itertools.islice(unramified_factor_degrees(h, discriminant(h)), 2000))
+    assert {n for _, n in asked} == {61, 5, 7}
+    assert all(d <= n // 2 for d, n in asked), max(asked)
+
+
 def test_batched_walk_cut_by_the_budget_mid_batch(monkeypatch):
     # budgets at the 4th to 6th unramified prime: inside the batch of four
     batches = _log_batches(monkeypatch)

@@ -360,6 +360,34 @@ def test_census_budget_refusal_is_quick_for_an_order_far_past_the_limit():
     assert time.process_time() - start < 2
 
 
+def test_census_budget_refusal_never_computes_a_huge_order():
+    # |W(D_1000001)| = 2^1000000 1000001! has 5866745 digits: computing it
+    # took about 15 s, but its logarithm alone shows it past the budget
+    import time
+
+    start = time.process_time()
+    with pytest.raises(EnumerationBudgetError, match="with 5866745 decimal digits"):
+        census(GroupDescriptor.wdm(1000001))
+    assert time.process_time() - start < 2
+
+
+def test_order_digit_estimate_matches_the_exact_order():
+    # every m up to the first order past 4301 digits (the int-to-str limit is
+    # 4300), then a spread of larger m, for every named kind
+    from prymcert.signedperm import _KINDS, _decimal_digits, _order_digits
+
+    for kind in _KINDS:
+        m, exact = 0, 0
+        while exact <= 4301:
+            m += 1
+            exact = _decimal_digits(GroupDescriptor(kind, m).order())
+            assert _order_digits(GroupDescriptor(kind, m)) == exact, (kind, m)
+        for m in (m + 1, 3 * m, 10007, 30011, 100003):
+            desc = GroupDescriptor(kind, m)
+            assert _order_digits(desc) == _decimal_digits(desc.order()), (kind, m)
+    assert _order_digits(GroupDescriptor.generated([], 3)) is None
+
+
 def test_sm_certificate_needs_a_cycle_longer_than_half():
     # S_5 wr S_2 is transitive and imprimitive on 10 points and holds an element
     # of type [5, 5]: a 5-cycle is no Jordan witness for m = 10 (5 is not > 10/2)

@@ -68,6 +68,11 @@ CORPUS = [
       for mode in ("certify", "sample")],
     ["galois", "--poly", "x^100000000000000000000000 - x^2 - 1",
      "--mode", "sample", "--samples", "10"],
+    # the commutant at m = 119; W(D_8) at the edge of the census budget, with
+    # lone factors in the s = 2 DDF at n = 8; an order of 5866745 digits
+    ["verify", "--p", "3", "--r", "40"],
+    ["galois", "--poly", "x^16 - x^2 + 1", "--mode", "sample", "--samples", "200"],
+    ["galois", "--poly", "x^2000002 - x^2 - 1", "--mode", "sample", "--samples", "20"],
 ]
 
 
