@@ -1,9 +1,8 @@
 """F_p-valued function spaces on root sets and exact mod-p linear algebra.
 
-The ambient objects are spaces of functions on the signed labels: the full
-function space on the 2m nonzero labels, its odd part (dimension m, the
-mod-p model of the Prym torsion), its even part and the even sum-zero part,
-the constants, and the sum-zero space on all 2m+1 labels.  A signed
+An FpSpace is a based space of functions on a labeled root set; the one
+the pipeline builds is the odd part of the functions on the 2m nonzero
+labels (dimension m, the mod-p model of the Prym torsion).  A signed
 permutation acts by phi -> phi o g^(-1); action matrices are signed
 permutation matrices in the chosen basis.
 
@@ -19,9 +18,7 @@ When every generator acts monomially (e_j -> a_j e_sigma(j), as on the
 delta and odd bases), the commutant has a basis indexed by the consistent
 orbits of signed index pairs, counted by one walk over those orbits in
 O(#gens . dim^2).  Otherwise it is the exact null space of the stacked
-commutation constraints, which also serves the tests as the reference.  The
-orbit-counting rule for transitive permutation modules is computed
-independently as a cross-check, never assumed.
+commutation constraints, which also serves the tests as the reference.
 
 The F_2 heart (the sum-zero part of F_2^m, m odd) is proved irreducible
 under A_m and S_m for every odd m by `_heart_is_irreducible`.
@@ -30,31 +27,14 @@ under A_m and S_m for every odd m by `_heart_is_irreducible`.
 from __future__ import annotations
 
 from ._primes import is_prime
-from .prymcalc import dim_prym
-from .signedperm import (
-    LabeledRoots,
-    SignedPerm,
-    roots_f,
-    roots_h,
-    stabilizer_orbit_count,
-)
+from .signedperm import LabeledRoots, SignedPerm, roots_h
 
 __all__ = [
     "FpMatrix",
     "FpSpace",
-    "function_space_on_roots",
     "odd_space",
-    "even_space",
-    "even_zero_space",
-    "constant_space",
-    "vf_space",
-    "vf_plus_space",
     "action_matrix",
-    "d2_matrix",
     "commutant_dim",
-    "orbit_count_formula",
-    "heart_f2_irreducible",
-    "lambda_rank_check",
 ]
 
 
@@ -201,12 +181,6 @@ def _space(p: int, roots: LabeledRoots, columns: list[dict], name: str) -> FpSpa
     return FpSpace(p, roots, B, name)
 
 
-def function_space_on_roots(m: int, p: int) -> FpSpace:
-    """The full function space F_p^(R_h), delta-function basis, dim 2m."""
-    roots = roots_h(m)
-    return _space(p, roots, [{lbl: 1} for lbl in roots.labels()], "F_p^R_h")
-
-
 def odd_space(m: int, p: int) -> FpSpace:
     """Odd functions: basis delta(+i) - delta(-i); dim m.
 
@@ -214,35 +188,6 @@ def odd_space(m: int, p: int) -> FpSpace:
     restriction to the nonzero labels is an isomorphism onto W_h^-).
     """
     return _space(p, roots_h(m), [{i: 1, -i: -1} for i in range(1, m + 1)], "V_f^-")
-
-
-def even_space(m: int, p: int) -> FpSpace:
-    """Even functions on the nonzero labels: basis delta(+i) + delta(-i)."""
-    return _space(p, roots_h(m), [{i: 1, -i: 1} for i in range(1, m + 1)], "W_h^+")
-
-
-def even_zero_space(m: int, p: int) -> FpSpace:
-    """Even functions with zero value sum; dim m - 1."""
-    columns = [{i: 1, -i: 1, i + 1: -1, -i - 1: -1} for i in range(1, m)]
-    return _space(p, roots_h(m), columns, "W_h^+,0")
-
-
-def constant_space(m: int, p: int) -> FpSpace:
-    """The constants F_p . 1 on the nonzero labels."""
-    roots = roots_h(m)
-    return _space(p, roots, [dict.fromkeys(roots.labels(), 1)], "F_p.1")
-
-
-def vf_space(m: int, p: int) -> FpSpace:
-    """Sum-zero functions on all 2m+1 labels; dim 2m."""
-    roots = roots_f(m)
-    return _space(p, roots, [{lbl: 1, 0: -1} for lbl in roots.labels() if lbl], "V_f")
-
-
-def vf_plus_space(m: int, p: int) -> FpSpace:
-    """Even sum-zero functions on all labels: delta(+i) + delta(-i) - 2 delta(0)."""
-    columns = [{i: 1, -i: 1, 0: -2} for i in range(1, m + 1)]
-    return _space(p, roots_f(m), columns, "V_f^+")
 
 
 def _push_forward(space: FpSpace, image_of_label) -> list[list[int]]:
@@ -263,11 +208,6 @@ def action_matrix(g: SignedPerm, space: FpSpace) -> FpMatrix:
         raise ValueError(f"element acts on m={g.m}, space has m={space.m}")
     V = _push_forward(space, lambda lbl: space.roots.act(g, lbl))
     return FpMatrix(space.p, _solve_in_span(space.basis, V, space.p))
-
-
-def d2_matrix(space: FpSpace) -> FpMatrix:
-    """Matrix of the involution phi(alpha) -> phi(-alpha) on the space."""
-    return action_matrix(SignedPerm(range(space.m), (-1,) * space.m), space)
 
 
 def _monomial_form(A) -> tuple[list[int], list[int]] | None:
@@ -351,18 +291,8 @@ def commutant_dim(generators, space: FpSpace) -> int:
     return _dense_commutant_dim(mats, d, p)
 
 
-def orbit_count_formula(generators, m: int, label: int = 1) -> int:
-    """Orbit count on the nonzero labels of the stabilizer of one root.
-
-    For a transitive permutation module this equals the dimension of the
-    endomorphism algebra of the full function space; both sides are computed
-    independently so the identity is a cross-check, not an assumption.
-    """
-    return stabilizer_orbit_count(generators, roots_h(m), label)
-
-
 # ---------------------------------------------------------------------------
-# the F_2 heart and the torsion-rank identity
+# the F_2 heart
 # ---------------------------------------------------------------------------
 
 
@@ -422,27 +352,14 @@ def _heart_is_irreducible(m: int) -> bool:
     return True
 
 
-def heart_f2_irreducible(m: int, group: str = "A_m") -> bool:
-    """Irreducibility of the sum-zero subspace of F_2^m under A_m or S_m.
-
-    For odd m the heart of the natural permutation module over F_2 is the
-    even-weight (sum-zero) subspace, of dimension m - 1.  An S_m-submodule
-    is an A_m-submodule, so `_heart_is_irreducible` (which the pipeline calls
-    for every m) decides both.  The range 3 <= m <= 13 is a kept contract,
-    not a cost limit.
-    """
-    if m % 2 == 0:
-        raise ValueError("even m puts the all-ones vector in the sum-zero space")
-    if not 3 <= m <= 13:
-        raise ValueError(f"heart_f2_irreducible covers 3 <= m <= 13, got {m}")
-    if group not in ("A_m", "S_m"):
-        raise ValueError(f"group must be 'A_m' or 'S_m', got {group!r}")
-    return _heart_is_irreducible(m)
+# the names no command runs, defined in prymcert.reference and resolved from here (PEP 562)
+_MOVED = {"constant_space", "d2_matrix", "even_space", "even_zero_space",
+          "function_space_on_roots", "heart_f2_irreducible", "lambda_rank_check",
+          "orbit_count_formula", "vf_plus_space", "vf_space"}
 
 
-def lambda_rank_check(p: int, m: int) -> bool:
-    """Consistency of the torsion rank: 2 (m(p-1)/2) / (p-1) equals m."""
-    d = dim_prym(p, m)
-    if (2 * d) % (p - 1) != 0:
-        return False
-    return (2 * d) // (p - 1) == m
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+    return getattr(reference, name)

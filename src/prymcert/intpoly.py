@@ -51,7 +51,7 @@ k = 1..n // 2 fix the factors of degree <= n/2; the one factor left takes
 the sign that makes the product of all the Legendre symbol of (-1)^n g(0),
 g monic.  The traces lie in [-n, n], so their residues mod q > 2n are exact,
 and a table of the signed cycle types of degree n decodes them.  The DDF
-kernel serves q <= 2n, n > 12 and the tests.  Over 120-prime walks of
+kernel serves q <= 2n and n > 12.  Over 120-prime walks of
 y^n - y - 1 and its g(x^2), the traces took 0.75 and 1.04 of the DDF walk's
 time at n = 12, 0.80 and 1.20 at n = 13, 2.7 and 39 at n = 29.
 
@@ -69,31 +69,22 @@ from itertools import islice, takewhile
 
 from ._primes import is_prime, primes
 from ._record import Record
-from .prymcalc import FamilyParams
 from .prymcalc import ConditionPR, condition_p_r  # re-exported; their home is prymcalc
 
 __all__ = [
     "IntPoly",
     "CycleType",
-    "DiscPair",
-    "RAMIFIED",
     "parse_poly",
     "format_poly",
     "compose_x2",
-    "build_family",
     "resultant",
     "discriminant",
     "poly_gcd",
     "trinomial_disc",
     "disc_of_even_composite",
-    "family_disc_pair",
-    "reduce_and_factor_degrees",
     "unramified_factor_degrees",
-    "irreducible_over_Q",
     "Irreducible",
-    "Reducible",
     "Inconclusive",
-    "irreducible_composite_rule",
     "Certified",
     "NotApplicable",
     "condition_p_r",
@@ -270,30 +261,6 @@ def sign_lift(length: int, sign: int) -> tuple[int, ...]:
     return (length, length) if sign == 1 else (2 * length,)
 
 
-class _RamifiedType:
-    """Sentinel for a reduction mod q with a repeated factor."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Ramified"
-
-
-RAMIFIED = _RamifiedType()
-
-
-class DiscPair(Record):
-    """Discriminants of u and of u(x^2) for one member of the family."""
-
-    delta_u: int
-    delta_h: int
-
-
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -375,19 +342,6 @@ def trinomial(m: int, c: int) -> IntPoly:
     coeffs[1] = -1
     coeffs[m] += 1
     return IntPoly(coeffs)
-
-
-def build_family(p: int, r: int, c: int = 1):
-    """Construct (u, h, f, params) with u = x^m - x - c, h = u(x^2), f = x h.
-
-    m = pr - 1 and n = 2m + 1.  Rejects p = 2 or non-prime p, r < 2, and even
-    or zero c.  For c = 1 the odd polynomial is f = x^(2m+1) - x^3 - x.
-    """
-    params = FamilyParams(p, r, c)
-    u = trinomial(params.m, c)
-    h = compose_x2(u)
-    f = IntPoly.x() * h
-    return u, h, f, params
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +497,6 @@ def disc_of_even_composite(m: int, c: int) -> int:
     return 4**m * c * d * d
 
 
-def family_disc_pair(m: int, c: int) -> DiscPair:
-    """Both closed-form discriminants for the family member (m, c)."""
-    return DiscPair(trinomial_disc(m, c), disc_of_even_composite(m, c))
-
-
 def is_square(n: int) -> bool:
     """Whether n is the square of an integer."""
     return n >= 0 and math.isqrt(n) ** 2 == n
@@ -610,50 +559,6 @@ def _pack(coeffs: list[int], bits: int) -> int:
 def _unpack(packed: int, count: int, bits: int) -> list[int]:
     mask = (1 << bits) - 1
     return [packed >> shift & mask for shift in range(0, count * bits, bits)]
-
-
-def reduce_and_factor_degrees(f: IntPoly, q: int):
-    """Degrees of the irreducible factors of f mod q, or RAMIFIED.
-
-    Returns a CycleType (multiset of factor degrees, with multiplicity,
-    summing to deg f) when f mod q is squarefree; returns RAMIFIED when it
-    has a repeated factor (equivalently, q divides disc f).  Only degrees are
-    computed: distinct-degree factorization without equal-degree splitting.
-
-    q is a batch of one (M = q) of _Frobenius, the code path of the walk's
-    primes q <= 2n, and of all its primes when n > _TRACE_MAX_N.  Every gcd
-    is taken against the cofactor v of the factors found so far, which is
-    valid because v divides f.  The degrees go in blocks of L = max(1,
-    isqrt(n // 2)) consecutive d, for n the degree the loop runs at (deg f,
-    or deg g below), so L = 1 for n <= 7.  One gcd G of v with the product
-    of the t_d = x^(q^d) - x of the block, mod f, finds every factor whose
-    degree lies in the block.  A nontrivial G is refined
-    by gcd(t_d, G) in increasing d, removing each part found, and a
-    remainder of degree < 2d is one factor and needs no gcd.  The loop runs
-    while deg v >= 2(d + 1); what is left then is one factor.
-
-    An even f(x) = g(x^2) with q odd is factored at half its degree, in
-    F_q[y]/(g) with y = x^2.  It is squarefree iff g is and g(0) != 0.  The
-    powering goes through A = y^((q-1)/2) to Y = y A^2 = y^q, and the same
-    blocked loop runs on g with t_d = y^(q^d) - y (y does not divide g).
-    An irreducible factor v of g of degree e with root b gives two factors
-    of f of degree e when b is a square in F_(q^e), else one of degree 2e.
-    A lone v is typed by whether its norm (-1)^e v(0) is a square mod q; a
-    part of several factors of degree d <= n // 2 by gcd(B_d - 1, part),
-    B_d = y^((q^d-1)/2) = B_(d-1)^q A (B_1 = A), whose roots are the squares.
-    """
-    if f.degree < 1:
-        raise ValueError("factor degrees require a nonconstant polynomial")
-    if not isinstance(q, int) or not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if f.lc % q == 0:
-        raise ValueError(f"q = {q} divides the leading coefficient")
-    # y = x^s: s = 2 when f(x) = g(x^2) and q is odd, and then work mod g
-    s = 2 if q > 2 and not any(f.coeffs[1::2]) else 1
-    g = _fq_monic(f.coeffs[::s], q)
-    if (s == 2 and not g[0]) or len(_fq_gcd(g, [i * c for i, c in enumerate(g)][1:], q)) > 1:
-        return RAMIFIED
-    return _factor_degrees(g, q, s)
 
 
 def _ring(f: list[int], modulus: int):
@@ -767,14 +672,29 @@ class _Residues(list):
 
 
 def _factor_degrees(f: list[int], q: int, s: int) -> CycleType:
-    """The kernel of reduce_and_factor_degrees, without its checks.
+    """The DDF kernel: factor degrees of F(x) = f(x^s) mod q, without checks.
 
-    Factor degrees of F(x) = f(x^s) mod q, for f a list of residues mod q,
-    monic and squarefree, with f(0) != 0 when s = 2 (so q is odd).  A
-    _Residues f brings its batch's _Frobenius; any other list is a batch of
-    one.  The distinct-degree factorization runs on f itself, in blocks of
-    consecutive degrees; s = 2 then types each part found by quadratic
-    characters.
+    f is a list of residues mod q, monic and squarefree, with f(0) != 0 when
+    s = 2 (so q is odd).  A _Residues f brings its batch's _Frobenius; any
+    other list is a batch of one (M = q).  The walk runs it for its primes
+    q <= 2n, and for all of them when n > _TRACE_MAX_N, n = deg f.
+
+    Every gcd is taken against the cofactor v of the factors found so far,
+    which is valid because v divides f.  The degrees go in blocks of L =
+    max(1, isqrt(n // 2)) consecutive d, so L = 1 for n <= 7.  One gcd G of
+    v with the product of the t_d = y^(q^d) - y of the block, mod f, finds
+    every factor whose degree lies in the block.  A nontrivial G is refined
+    by gcd(t_d, G) in increasing d, removing each part found, and a
+    remainder of degree < 2d is one factor and needs no gcd.  The loop runs
+    while deg v >= 2(d + 1); what is left then is one factor.
+
+    When s = 2 the powering goes through A = y^((q-1)/2) to y A^2 = y^q (y
+    does not divide f).  An irreducible factor v of f of degree e with root
+    b gives two factors of F of degree e when b is a square in F_(q^e), else
+    one of degree 2e.  A lone v is typed by whether its norm (-1)^e v(0) is
+    a square mod q; a part of several factors of degree d <= n // 2 by
+    gcd(B_d - 1, part), B_d = y^((q^d-1)/2) = B_(d-1)^q A (B_1 = A), whose
+    roots are the squares.
     """
     frobenius_map = getattr(f, "frobenius", None) or _Frobenius(f, [q], s)
     _, mulmod, _ = _ring(f, q)
@@ -860,12 +780,12 @@ def unramified_factor_degrees(f: IntPoly, disc: int, prime_budget: int | None = 
     first prime requested raises a ValueError naming f's repeated factor.
     The primes are those dividing neither lc(f) nor disc, in increasing
     order, so f mod q is squarefree of degree deg f and every yielded value
-    is a CycleType; the kernel runs without reduce_and_factor_degrees's
-    checks, which these primes pass.  The stream ends after the last prime
-    <= prime_budget, or never when there is no budget.  It goes in batches
-    of 1, 2, 4, ... up to _BATCH_CAP consecutive primes, one _Frobenius mod
-    their product each, computed on reaching the batch, so a walk that stops
-    early powers about what it yields; no batch holds a prime past the budget.
+    is a CycleType; the kernel runs without checks, which these primes pass.
+    The stream ends after the last prime <= prime_budget, or never when
+    there is no budget.  It goes in batches of 1, 2, 4, ... up to _BATCH_CAP
+    consecutive primes, one _Frobenius mod their product each, computed on
+    reaching the batch, so a walk that stops early powers about what it
+    yields; no batch holds a prime past the budget.
 
     For n = deg g <= _TRACE_MAX_N, f = g(x^s), a prime q > 2n takes its type
     from the batch's _Frobenius.traces(n // 2): Tr(Q^k) = sum over d | k of
@@ -921,69 +841,8 @@ class Irreducible(Record):
     witness: int
 
 
-class Reducible(Record):
-    """A genuine nonconstant proper factor was found."""
-
-    factor: IntPoly
-
-
 class Inconclusive(Record):
     """No witness prime within budget and no factor found; no verdict."""
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
-def _rational_root_factor(f: IntPoly):
-    """A linear factor sx - p from a rational root p/s, or None."""
-    a0 = f.coeff(0)
-    if a0 == 0:
-        return IntPoly.x()
-    for s in _divisors(f.lc):
-        for p_abs in _divisors(a0):
-            for p in (p_abs, -p_abs):
-                if math.gcd(p, s) != 1:
-                    continue
-                # f(p/s) * s^deg = sum a_i p^i s^(deg-i)
-                d = f.degree
-                val = sum(f.coeff(i) * p**i * s ** (d - i) for i in range(d + 1))
-                if val == 0:
-                    return IntPoly((-p, s))
-    return None
-
-
-def irreducible_over_Q(f: IntPoly, prime_budget: int = 500):
-    """Three-valued irreducibility verdict over Q; never guesses.
-
-    Irreducible(q) when f mod q is irreducible for some prime q <= budget
-    (q skipping divisors of disc(f) and lc(f), increasing order); Reducible
-    with an actual factor when a rational root exists or f has a repeated
-    factor; Inconclusive otherwise.  Full factorization is out of scope.
-    """
-    if f.degree < 1:
-        raise ValueError("irreducibility test requires a nonconstant polynomial")
-    if f.content != 1:
-        raise ValueError("polynomial must be primitive")
-    if f.degree > 1:
-        linear = _rational_root_factor(f)
-        if linear is not None:
-            return Reducible(linear)
-    disc = discriminant(f)
-    if disc == 0:
-        g = poly_gcd(f, f.derivative())
-        return Reducible(g)
-    for q, ct in unramified_factor_degrees(f, disc, prime_budget):
-        if ct == CycleType([f.degree]):
-            return Irreducible(witness=q)
-    return Inconclusive()
 
 
 class Certified(Record):
@@ -996,22 +855,15 @@ class NotApplicable(Record):
     failed: str
 
 
-def irreducible_composite_rule(u: IntPoly, prime_budget: int = 500):
+def _composite_rule(u: IntPoly, irreducibility):
     """Certify that u(x^2) is irreducible over Q from the shape of u.
 
-    Premises: deg u = m odd >= 3, u monic, u irreducible over Q, coefficient
-    of x^2 zero, coefficient of x equal to -1, and constant term -c with c a
-    nonzero integer.  Returns Certified with the recorded premises, or
+    Premises: deg u = m odd >= 3, u monic, coefficient of x^2 zero,
+    coefficient of x equal to -1, constant term -c with c a nonzero integer,
+    and u irreducible over Q.  irreducibility() returns u's verdict; it is
+    called only once the shape premises hold, so a caller that already holds
+    a witness pays nothing.  Returns Certified with the recorded premises, or
     NotApplicable naming the first failed premise.
-    """
-    return _composite_rule(u, lambda: irreducible_over_Q(u, prime_budget))
-
-
-def _composite_rule(u: IntPoly, irreducibility):
-    """irreducible_composite_rule with u's irreducibility verdict supplied.
-
-    irreducibility() returns the verdict; it is called only once the shape
-    premises hold, so a caller that already holds a witness pays nothing.
     """
     m = u.degree
     if m < 3 or m % 2 == 0:
@@ -1036,3 +888,16 @@ def _composite_rule(u: IntPoly, irreducibility):
         ("u irreducible over Q (witness prime)", verdict.witness),
     )
     return Certified(premises)
+
+
+# the names no command runs, defined in prymcert.reference and resolved from here (PEP 562)
+_MOVED = {"DiscPair", "RAMIFIED", "Reducible", "_RamifiedType", "_divisors",
+          "_rational_root_factor", "build_family", "family_disc_pair",
+          "irreducible_composite_rule", "irreducible_over_Q", "reduce_and_factor_degrees"}
+
+
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+    return getattr(reference, name)

@@ -6,10 +6,10 @@ odd polynomial f defines a cyclic degree-p cover of the line with genus
 automorphism acts on holomorphic differentials x^i dx/y^j with eigenvalue
 zeta_p^(-j), and the order-2 automorphism with eigenvalue (-1)^(i+1-j); the
 anti-invariant forms are exactly those with i and j of the same parity.  This
-module enumerates that basis, tabulates the eigenvalue multiplicities on the
-anti-invariant part (rj for even j, rj - 1 for odd j), and evaluates the
-gcd/distinctness/inequality facts consumed by the certificate engine, and
-the descent condition on (p, r) that `scan` tabulates (condition_p_r).
+module tabulates the eigenvalue multiplicities on the anti-invariant part
+(rj for even j, rj - 1 for odd j), evaluates the gcd/distinctness/inequality
+facts consumed by the certificate engine, and the descent condition on
+(p, r) that `scan` tabulates (condition_p_r).
 
 All comparisons are exact: integers only, never floats.
 """
@@ -49,23 +49,6 @@ class FamilyParams(Record):
         return {"p": self.p, "r": self.r, "m": self.m, "n": self.n, "c": self.c}
 
 
-class BasisForm(Record):
-    """The differential x^i dx/y^j together with its eigenvalue data."""
-
-    i: int
-    j: int
-
-    @property
-    def delta_p_exponent(self) -> int:
-        """Exponent e such that the order-p automorphism scales by zeta_p^e."""
-        return -self.j
-
-    @property
-    def delta_2_sign(self) -> int:
-        """Eigenvalue (-1)^(i+1-j) of the involution."""
-        return -1 if (self.i + 1 - self.j) % 2 else 1
-
-
 class MultiplicityTable(Record):
     """Multiplicity of the eigenvalue zeta_p^(-j) on the anti-invariant forms."""
 
@@ -98,33 +81,6 @@ def genus_curve(n: int, p: int) -> int:
 def dim_prym(p: int, m: int) -> int:
     """Dimension m(p-1)/2 of the Prym variety of the involution quotient."""
     return m * (p - 1) // 2
-
-
-def omega_basis(n: int, p: int) -> list[BasisForm]:
-    """The differential basis x^i dx/y^j, 1 <= j <= p-1, 0 <= i <= [nj/p]-1.
-
-    The list has exactly genus_curve(n, p) entries.
-    """
-    genus_curve(n, p)  # validates n, p
-    forms = []
-    for j in range(1, p):
-        for i in range(n * j // p):
-            forms.append(BasisForm(i, j))
-    return forms
-
-
-def anti_invariant_partition(p: int, r: int) -> dict[int, tuple[int, ...]]:
-    """Exponents i of the involution-anti-invariant forms, grouped by j.
-
-    Derived by enumerating omega_basis for n = 2pr - 1 and keeping the forms
-    with delta_2_sign == -1; multiplicity_table gives the closed-form sizes.
-    """
-    n = 2 * p * r - 1
-    parts: dict[int, list[int]] = {j: [] for j in range(1, p)}
-    for form in omega_basis(n, p):
-        if form.delta_2_sign == -1:
-            parts[form.j].append(form.i)
-    return {j: tuple(sorted(parts[j])) for j in parts}
 
 
 def multiplicity_table(p: int, r: int) -> MultiplicityTable:
@@ -184,3 +140,14 @@ def condition_p_r(p: int, r: int) -> ConditionPR:
     shortcut_small = r - 2 <= p.bit_length() and 2 ** (r - 2) < p - 1
     assert not (shortcut_r_mod or shortcut_small) or passed
     return ConditionPR(p, r, residue, passed, shortcut_r_mod, shortcut_small)
+
+
+# the names no command runs, defined in prymcert.reference and resolved from here (PEP 562)
+_MOVED = {"BasisForm", "anti_invariant_partition", "omega_basis"}
+
+
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+    return getattr(reference, name)

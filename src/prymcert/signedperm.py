@@ -11,8 +11,7 @@ order 2^(m-1) m!.
 Groups are handled as descriptors plus generator sets.  Orbits,
 transitivity and element lists (under an explicit budget) come from
 generator closure; the census of a named kind counts classes and lists no
-element; one-point stabilizers come from Schreier generators, so no
-strong-generating-set machinery is needed.
+element.
 
 Cycle types serialize as sorted integer lists, e.g. [2, 4]; descriptors as
 {"kind": "WDm", "m": 5}.  A cycle of s lifts to labels by intpoly.sign_lift.
@@ -156,25 +155,6 @@ class SignedPerm:
         return {"s": [v + 1 for v in self.s], "eps": list(self.eps)}
 
 
-def compose(g1: SignedPerm, g2: SignedPerm) -> SignedPerm:
-    """Group composition matching composition of the induced label maps."""
-    return g1 * g2
-
-
-def in_wdm(g: SignedPerm) -> bool:
-    """Whether the product of signs is +1."""
-    return g.sign_product() == 1
-
-
-def kappa_u(g: SignedPerm) -> tuple[int, ...]:
-    """The projection (eps, s) -> s, as a 1-based image tuple.
-
-    A group homomorphism onto permutations of the base points; its kernel on
-    any group of signed permutations lies in the sign group E_m.
-    """
-    return tuple(v + 1 for v in g.s)
-
-
 def _cycles_of(s: tuple[int, ...]) -> list[list[int]]:
     seen = [False] * len(s)
     cycles = []
@@ -198,24 +178,6 @@ def induced_cycle_type(g: SignedPerm) -> CycleType:
         for cyc in _cycles_of(g.s)
         for n in sign_lift(len(cyc), math.prod(g.eps[i] for i in cyc))
     ])
-
-
-def cycle_type_from_label_action(g: SignedPerm) -> CycleType:
-    """Brute-force oracle: walk the orbits of the label action directly."""
-    labels = [i for i in range(1, g.m + 1)] + [-i for i in range(1, g.m + 1)]
-    seen: set[int] = set()
-    lengths = []
-    for start in labels:
-        if start in seen:
-            continue
-        n = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            n += 1
-            x = g.act_label(x)
-        lengths.append(n)
-    return CycleType(lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +207,6 @@ class LabeledRoots(Record):
         if self.kind == "R_u":
             return g.act_point(label)
         return g.act_label(label)
-
-
-def roots_f(m: int) -> LabeledRoots:
-    return LabeledRoots(m, "R_f")
 
 
 def roots_h(m: int) -> LabeledRoots:
@@ -517,7 +475,7 @@ def census(desc: GroupDescriptor, budget: int = DEFAULT_ENUM_BUDGET) -> dict[Cyc
 
 
 # ---------------------------------------------------------------------------
-# orbits, stabilizers, transitivity
+# orbits and transitivity
 # ---------------------------------------------------------------------------
 
 
@@ -558,47 +516,6 @@ def transitivity_degree(group, roots: LabeledRoots) -> int:
     )
     n = len(labels)
     return 2 if len(orb) == n * (n - 1) else 1
-
-
-def stabilizer_generators(group, label: int, roots: LabeledRoots) -> list[SignedPerm]:
-    """Schreier generators of the stabilizer of one label.
-
-    Standard orbit/transversal construction: for each generator g and each
-    transversal element t_x, the element t_{g(x)}^(-1) g t_x fixes the label,
-    and by Schreier's lemma these generate the full stabilizer.
-    """
-    gens = _as_generators(group)
-    m = roots.m
-    ident = SignedPerm.identity(m)
-    transversal = {label: ident}
-    frontier = [label]
-    schreier: list[SignedPerm] = []
-    seen: set[SignedPerm] = set()
-    while frontier:
-        nxt = []
-        for x in frontier:
-            tx = transversal[x]
-            for g in gens:
-                y = roots.act(g, x)
-                if y not in transversal:
-                    transversal[y] = g * tx
-                    nxt.append(y)
-                else:
-                    s = transversal[y].inverse() * g * tx
-                    if not s.is_identity and s not in seen:
-                        seen.add(s)
-                        schreier.append(s)
-        frontier = nxt
-    return schreier
-
-
-def stabilizer_orbit_count(group, roots: LabeledRoots, label: int | None = None) -> int:
-    """Number of orbits on the label set of the stabilizer of one label."""
-    labels = roots.labels()
-    if label is None:
-        label = labels[0]
-    stab = stabilizer_generators(group, label, roots)
-    return len(orbits(stab, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -648,3 +565,15 @@ def sm_certificate(types, disc_is_square: bool, irreducible: bool, m: int):
             if 2 * length > m and length < m - 2 and is_prime(length):
                 return IsSm(length, CycleType(t))
     return SmInconclusive("no prime-length cycle q with m/2 < q < m-2 observed")
+
+
+# the names no command runs, defined in prymcert.reference and resolved from here (PEP 562)
+_MOVED = {"compose", "cycle_type_from_label_action", "in_wdm", "kappa_u", "roots_f",
+          "stabilizer_generators", "stabilizer_orbit_count"}
+
+
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+    return getattr(reference, name)

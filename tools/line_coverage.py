@@ -1,6 +1,7 @@
-"""List the lines of prymcert that no test runs.
+"""List the lines of prymcert that no test runs, or the functions no command enters.
 
 Usage: python tools/line_coverage.py SRC [pytest args]
+       python tools/line_coverage.py --corpus SRC
 
 SRC is the `src/` directory of the checkout under test, and the tool runs
 from that checkout's root, where pytest finds its tests.  It puts SRC first
@@ -12,10 +13,20 @@ function that holds each; the executable lines are those of every code
 object's `co_lines()`.  Tests that run prymcert in a child process are not
 traced, so the lines only they reach are listed too.  Nothing is written
 into the tree.  The pytest exit code is the tool's exit code.
+
+With --corpus, the tool instead runs `certcli.main` in this process on every
+command of `tools/cli_corpus.CORPUS`, under `sys.setprofile`, and prints,
+per pipeline module (every module of SRC/prymcert but `reference`, which no
+command imports), the module-level functions and the methods that no
+command entered.  Nothing is written into the tree here either.  The exit
+code is 2 if a command imported `reference`, else 0.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
 import os
 import sys
 import threading
@@ -42,13 +53,72 @@ def executable_lines(path: str) -> dict[int, str]:
     return lines
 
 
+def _definitions(path: str):
+    """(qualified name, first line) of each module-level function and method.
+
+    The first line is that of the code object: the first decorator's, if any.
+    """
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    for node in tree.body:
+        is_class = isinstance(node, ast.ClassDef)
+        for fn in node.body if is_class else [node]:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{node.name}.{fn.name}" if is_class else fn.name
+                yield name, min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+
+
+def corpus(package: str) -> int:
+    """Print the functions and methods of the pipeline modules that no corpus command enters."""
+    from cli_corpus import CORPUS
+
+    from prymcert import certcli
+
+    entered: set[tuple[str, int]] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in CORPUS:
+                certcli.main(argv)
+    finally:
+        sys.setprofile(None)
+    if "prymcert.reference" in sys.modules:
+        print("a corpus command imported prymcert.reference", file=sys.stderr)
+        return 2
+
+    total = 0
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "reference.py":
+            continue
+        path = os.path.join(package, name)
+        missed = [qualname for qualname, line in _definitions(path) if (path, line) not in entered]
+        total += len(missed)
+        print(f"{name}: {len(missed)} functions not entered")
+        for qualname in missed:
+            print(f"  {qualname}")
+    print(f"total: {total} functions not entered")
+    return 0
+
+
 def main(argv: list[str]) -> int:
-    if not argv or not os.path.isdir(os.path.join(argv[0], "prymcert")):
-        print("usage: python tools/line_coverage.py SRC [pytest args]", file=sys.stderr)
+    mode_corpus = bool(argv) and argv[0] == "--corpus"
+    if mode_corpus:
+        argv = argv[1:]
+    if not argv or not os.path.isdir(os.path.join(argv[0], "prymcert")) or (mode_corpus and len(argv) != 1):
+        print("usage: python tools/line_coverage.py SRC [pytest args]\n"
+              "       python tools/line_coverage.py --corpus SRC", file=sys.stderr)
         return 2
     package = os.path.join(os.path.abspath(argv[0]), "prymcert")
     sys.path.insert(0, os.path.dirname(package))
     sys.dont_write_bytecode = True
+    if mode_corpus:
+        return corpus(package)
     ran: dict[str, set[int]] = defaultdict(set)
 
     def local(frame, event, arg):
