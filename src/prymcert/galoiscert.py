@@ -14,12 +14,15 @@ Verdicts are kept strictly apart:
 * Refuted        - a computed fact contradicts the claim;
 * Inconclusive   - a premise failed or could not be established.
 
-The guard rule: a rule step lists its premises as (fact, value, required)
-triples, required being None for a value the step only reports.  The step
-is appended first; then the chain ends Inconclusive at the first premise
-whose value is not its required value, with that fact as failed_premise.
-CyclotomicDescent follows it as the other rules do; a refused descent also
-records the verdict of its base over Q.
+The rule table: _RULES states each rule once, in strings and values: its
+conclusion template and its ordered (fact, required) premises, required
+being None for a value the step only reports.  _step, the one builder,
+appends a step from the table and returns the first premise whose value is
+not its required value; the chain ends there, Inconclusive with that fact
+as failed_premise (Refuted at EvenContainment, an equivalence).  The
+document records the values, the table the requirements.  Exits that are
+no premise failure (a repeated factor, a walk out of primes, sampling) are
+explicit.  A refused descent also records the verdict of its base over Q.
 
 Conclusions about the Prym variety itself (endomorphism ring, simplicity,
 not being a jacobian) are emitted as claims with checked=false: the engine
@@ -51,6 +54,7 @@ from . import (  # the shared constants, re-exported
 )
 from ._record import Record
 from .intpoly import (
+    _COMPOSITE_FACTS,
     Certified,
     CycleType,
     Inconclusive,
@@ -116,15 +120,87 @@ class RuleStep(Record, frozen=False):
     premises: list[dict] = []
 
 
-def _prem(fact: str, value) -> dict:
-    return {"fact": fact, "value": value}
+# facts that two premises, or a premise and an exit, share
+_SM = "Gal(u/Q) = S_m"
+_DISTINCT = "multiplicities pairwise distinct"
+_R_EVEN = "r is even"
+
+# Each rule: its conclusion template and its ordered (fact, required) premises,
+# required None for a value the step only reports.  A conclusion is formatted
+# with the premise values ({0}, {1}, ...) and the builder's keywords; a key's
+# text before ":" is the rule name the document records.
+_RULES = {
+    "EvenContainment": ("Gal(u(x^2)/Q) is {neg}contained in W(D_{m})",
+                        (("-u(0)", None), ("-u(0) is a rational square", True))),
+    "SmCert": ("Gal({u} / Q) = S_{m}", (
+        (_COMPOSITE_FACTS[-1], None), ("disc(u)", None), ("disc(u) is a square", False),
+        ("cycle type observed mod q", None), ("witness prime q", None),
+        ("prime cycle length L with m/2 < L < m-2 (Jordan)", None),
+    )),
+    "IrredX2": ("{h} is irreducible over Q",
+                tuple(zip(_COMPOSITE_FACTS, (None, True, True, True, None, None)))),
+    "ChebotarevVerdict": ("all {0} sampled Frobenius cycle types are possible in W(D_{m}) "
+                          "(statistical evidence, not proof)", (
+        ("samples", None), ("census classes", None), ("chi_square (advisory)", None),
+    )),
+    "ChebotarevVerdict:refuting": ("cycle type {1} observed at q = {0} is impossible in W(D_{m})",
+                                   (("refuting prime", None), ("refuting cycle type", None))),
+    "IrredDelta": ("u(x^2) is irreducible over the quadratic field Q(sqrt(disc(u)))", (
+        ("m odd and >= 7", None), ("c odd", None), (_SM, True),
+        ("disc(u) odd, so the quadratic field is unramified at 2", True),
+    )),
+    "SquareRoot": ("no square root of a root of u lies in the splitting "
+                   "field of u; the splitting fields of u and u(x^2) differ", (
+        (f"m odd and >= {DET_MIN_M}", None),
+        ("2m < m(m-1)/2, so A_m has no subgroup of index 2m", True),
+    )),
+    "TwoGroup": ("{claim}", (
+        ("c is a square in Q", True), ("Gal(u(x^2)/Q) contained in W(D_m)", True),
+        # SquareRoot concludes that the splitting fields of u and u(x^2) differ,
+        # which is exactly a nontrivial kernel of Gal(h/Q) -> Gal(u/Q)
+        ("kernel of the sign projection is nontrivial", True),
+        ("sum-zero F_2-module of A_m is irreducible (weight-2 spin "
+         "and one 3-cycle per even weight)", True),
+        (_SM, True),
+    )),
+    "CyclotomicDescent": ("{claim}", (
+        ("(1 + 2^(r-2)) mod p", None),
+        ("p does not divide 1 + 2^(r-2) (condition (3))", True),
+        ("shortcut: r = 2 (mod p-1)", None), ("shortcut: 2^(r-2) < p-1", None),
+        ("disc(u(x^2))", None), ("disc route", None),
+        ("p does not divide disc(u(x^2))", True),
+    )),
+    "EndomorphismRing": ("End(Prym) = Z[zeta_{p}]; Prym is absolutely simple", (
+        (_R_EVEN, True),
+        ("S_m is doubly transitive on the roots of u", True),
+        ("S_m has no proper normal subgroup of index dividing m", True),
+        ("p does not divide 2m", True),
+        ("commutant of W(D_m) on the odd function space mod p has dim", 1),
+        ("Gal over Q(zeta_{p}) established", None),
+    )),
+    "EigenvalueMultiplicities": ("the automorphism eigenvalue multiplicities on the "
+                                 "anti-invariant differentials are rj (j even) and rj-1 (j odd); "
+                                 "they are pairwise distinct and coprime", (
+        ("multiplicity table", None), (_DISTINCT, True), ("gcd of multiplicities is 1", True),
+        ("multiplicities sum to dim Prym", True), ("dim Prym", None),
+    )),
+    "NonJacobian": ("Prym is isomorphic neither to the jacobian of a smooth "
+                    "projective curve nor to a product of jacobians", (
+        ("r - 1 < (2 dim Prym)/(p(p-1)) - (p-2)/p (exact rationals)", True),
+        (_DISTINCT, True), ("smallest multiplicity", None),
+    )),
+}
 
 
-def _guarded(steps: list[RuleStep], rule: str, conclusion: str, *premises) -> str | None:
-    """Append the step; return the fact of its first premise off its required value."""
-    steps.append(RuleStep(rule=rule, conclusion=conclusion,
-                          premises=[_prem(fact, value) for fact, value, _ in premises]))
-    return next((fact for fact, value, req in premises if req is not None and value != req), None)
+def _step(steps: list[RuleStep], key: str, *values, **fmt) -> str | None:
+    """Append the step of _RULES[key] with these premise values, in the table's
+    order; return the fact of its first premise off its required value."""
+    conclusion, premises = _RULES[key]
+    facts = [fact.format(**fmt) for fact, _ in premises]
+    prems = [{"fact": f, "value": v} for f, v in zip(facts, values, strict=True)]
+    steps.append(RuleStep(key.partition(":")[0], conclusion.format(*values, **fmt), prems))
+    return next((fact for fact, (_, req), value in zip(facts, premises, values)
+                 if req is not None and value != req), None)
 
 
 class Certificate(Record, frozen=False):
@@ -379,68 +455,40 @@ def certify_wdm_over_Q(
 
     # -u(0) = c: every non-square c is refuted here, so c is a square below
     contained = even_containment(u, disc=disc_u) is Containment.CONTAINED
-    containment = RuleStep(
-        rule="EvenContainment",
-        conclusion=f"Gal(u(x^2)/Q) is {'' if contained else 'not '}contained in W(D_{m})",
-        premises=[_prem("-u(0)", -u.coeff(0)), _prem("-u(0) is a rational square", contained)],
-    )
-    if not contained:
-        return cert(
-            [containment],
-            REFUTED,
-            {
-                "failed_premise": "-u(0) is a square in Q",
-                "reason": "the containment criterion is an equivalence, so the "
-                "group is not even contained in W(D_m)",
-            },
-        )
+    containment = []
+    if _step(containment, "EvenContainment", -u.coeff(0), contained,
+             m=m, neg="" if contained else "not "):
+        detail = {"failed_premise": "-u(0) is a square in Q",
+                  "reason": "the containment criterion is an equivalence, so the "
+                  "group is not even contained in W(D_m)"}
+        return cert(containment, REFUTED, detail)
 
     # one walk for both of u's witnesses; IrredX2 serves every m from it
     witness, jordan = _witness_walk(u, disc_u, prime_budget)
     composite = _composite_rule(
         u, lambda: Inconclusive() if witness is None else Irreducible(witness)
     )
-    irred_x2 = [
-        RuleStep(
-            rule="IrredX2",
-            conclusion=f"{format_poly(h)} is irreducible over Q",
-            premises=[_prem(fact, value) for fact, value in composite.premises],
-        )
-    ] if isinstance(composite, Certified) else []
+    irred_x2 = []
+    failed = isinstance(composite, Certified) and _step(
+        irred_x2, "IrredX2", *(value for _, value in composite.premises), h=format_poly(h)
+    )
 
     if m < DET_MIN_M:  # m in {3, 5, 7}: sampling fallback
-        steps = [containment, *irred_x2]
+        steps = [*containment, *irred_x2]
+        if failed:
+            return cert(steps, INCONCLUSIVE, {"failed_premise": failed})
         report = chebotarev_verdict(h, GroupDescriptor.wdm(m), samples, seed)
         if not report.consistent:
-            steps.append(
-                RuleStep(
-                    rule="ChebotarevVerdict",
-                    conclusion=f"cycle type {report.refuting_type} observed at "
-                    f"q = {report.refuting_prime} is impossible in W(D_{m})",
-                    premises=[
-                        _prem("refuting prime", report.refuting_prime),
-                        _prem("refuting cycle type", report.refuting_type),
-                    ],
-                )
-            )
+            _step(steps, "ChebotarevVerdict:refuting", report.refuting_prime,
+                  report.refuting_type, m=m)
             return cert(
                 steps,
                 REFUTED,
                 {"failed_premise": "all sampled cycle types possible in W(D_m)",
                  "sampling": report.to_json()},
             )
-        steps.append(
-            RuleStep(
-                rule="ChebotarevVerdict",
-                conclusion=f"all {report.samples} sampled Frobenius cycle types are "
-                f"possible in W(D_{m}) (statistical evidence, not proof)",
-                premises=[
-                    _prem("samples", report.samples),
-                    _prem("census classes", len(report.classes)),
-                    _prem("chi_square (advisory)", report.chi_square),
-                ],
-            )
-        )
+        _step(steps, "ChebotarevVerdict", report.samples, len(report.classes),
+              report.chi_square, m=m)
         return cert(
             steps,
             PROBABILISTIC,
@@ -455,65 +503,37 @@ def certify_wdm_over_Q(
         # u has no integer root, as a^m - a is even and c odd: the primes ran out
         detail = {"failed_premise": "u is irreducible over Q", "detail": repr(Inconclusive()),
                   "prime_budget": prime_budget}
-        return cert([containment], INCONCLUSIVE, detail)
+        return cert(containment, INCONCLUSIVE, detail)
     disc_square = is_square(disc_u)
     if disc_square:
-        return cert([containment], INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"})
+        return cert(containment, INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"})
     if jordan is None:
         return cert(
-            [containment],
+            containment,
             INCONCLUSIVE,
             {"failed_premise": "a qualifying prime-length cycle was observed",
              "prime_budget": prime_budget},
         )
     q_cycle, sm = jordan
     is_sm = isinstance(sm, IsSm)
-    steps = [
-        RuleStep(
-            rule="SmCert",
-            conclusion=f"Gal({format_poly(u)} / Q) = S_{m}",
-            premises=[
-                _prem("u irreducible over Q (witness prime)", witness),
-                _prem("disc(u)", disc_u),
-                _prem("disc(u) is a square", disc_square),
-                _prem("cycle type observed mod q", list(sm.witness_type)),
-                _prem("witness prime q", q_cycle),
-                _prem("prime cycle length L with m/2 < L < m-2 (Jordan)", sm.cycle_length),
-            ],
-        )
-    ]
-    if not irred_x2:
+    steps = []
+    # SmCert's or IrredX2's failure ends the chain before IrredDelta
+    failed = _step(steps, "SmCert", witness, disc_u, disc_square, list(sm.witness_type),
+                   q_cycle, sm.cycle_length, u=format_poly(u), m=m) or failed
+    if not (failed or irred_x2):
         return cert(
-            [*steps, containment],
+            [*steps, *containment],
             INCONCLUSIVE,
             {"failed_premise": "the composite irreducibility rule applies",
              "detail": composite.failed},
         )
-    steps += [*irred_x2, containment]
+    steps += [*irred_x2, *containment]
     side_condition = 2 * m < m * (m - 1) // 2
-    failed = _guarded(
-        steps, "IrredDelta",
-        "u(x^2) is irreducible over the quadratic field Q(sqrt(disc(u)))",
-        ("m odd and >= 7", m, None),
-        ("c odd", c, None),
-        ("Gal(u/Q) = S_m", is_sm, True),
-        ("disc(u) odd, so the quadratic field is unramified at 2", disc_u % 2 != 0, True),
-    ) or _guarded(
-        steps, "SquareRoot",
-        "no square root of a root of u lies in the splitting "
-        "field of u; the splitting fields of u and u(x^2) differ",
-        (f"m odd and >= {DET_MIN_M}", m, None),
-        ("2m < m(m-1)/2, so A_m has no subgroup of index 2m", side_condition, True),
-    ) or _guarded(
-        steps, "TwoGroup", claim,
-        ("c is a square in Q", contained, True),
-        ("Gal(u(x^2)/Q) contained in W(D_m)", contained, True),
-        # SquareRoot concludes that the splitting fields of u and u(x^2) differ,
-        # which is exactly a nontrivial kernel of Gal(h/Q) -> Gal(u/Q)
-        ("kernel of the sign projection is nontrivial", side_condition, True),
-        ("sum-zero F_2-module of A_m is irreducible (weight-2 spin "
-         "and one 3-cycle per even weight)", _heart_is_irreducible(m), True),
-        ("Gal(u/Q) = S_m", is_sm, True),
+    failed = failed or (
+        _step(steps, "IrredDelta", m, c, is_sm, disc_u % 2 != 0)
+        or _step(steps, "SquareRoot", m, side_condition)
+        or _step(steps, "TwoGroup", contained, contained, side_condition,
+                 _heart_is_irreducible(m), is_sm, claim=claim)
     )
     if failed:
         return cert(steps, INCONCLUSIVE, {"failed_premise": failed})
@@ -547,19 +567,14 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
     h = compose_x2(trinomial(m, 1))
     cond = condition_p_r(p, r)
     disc_h = discriminant(h)
-    assert disc_h == disc_of_even_composite(m, 1), "closed form disagrees with subresultants"
+    if disc_h != disc_of_even_composite(m, 1):  # an explicit check: it must survive python -O
+        raise AssertionError("closed form disagrees with subresultants")
     claim = f"Gal({format_poly(h)} / Q(zeta_{p})) = W(D_{m})"
     steps = list(cert_q.steps)
-    failed = _guarded(
-        steps, "CyclotomicDescent", claim,
-        ("(1 + 2^(r-2)) mod p", cond.residue, None),
-        ("p does not divide 1 + 2^(r-2) (condition (3))", cond.passed, True),
-        ("shortcut: r = 2 (mod p-1)", cond.shortcut_r_mod, None),
-        ("shortcut: 2^(r-2) < p-1", cond.shortcut_small, None),
-        ("disc(u(x^2))", disc_h, None),
-        ("disc route", "subresultant PRS, cross-checked against the closed form", None),
-        ("p does not divide disc(u(x^2))", disc_h % p != 0, True),
-    )
+    failed = _step(steps, "CyclotomicDescent", cond.residue, cond.passed, cond.shortcut_r_mod,
+                   cond.shortcut_small, disc_h,
+                   "subresultant PRS, cross-checked against the closed form",
+                   disc_h % p != 0, claim=claim)
     config = {**cert_q.config, "command": "galois-descent", "p": p, "r": r}
     verdict, detail = cert_q.verdict, dict(cert_q.verdict_detail)
     claims = [{"statement": claim, "checked": verdict == DETERMINISTIC, "via": "CyclotomicDescent"}]
@@ -604,7 +619,7 @@ def certify_prym(
         return cert(
             [],
             INCONCLUSIVE,
-            {"failed_premise": "r is even",
+            {"failed_premise": _R_EVEN,
              "reason": "odd r makes m even and every eigenvalue multiplicity even"},
         )
 
@@ -617,37 +632,15 @@ def certify_prym(
     table = multiplicity_table(p, r)
     distinct = multiplicities_distinct(p, r)
     d = dim_prym(p, m)
-    failed = _guarded(
-        steps, "EndomorphismRing",
-        f"End(Prym) = Z[zeta_{p}]; Prym is absolutely simple",
-        ("r is even", r % 2 == 0, True),
-        ("S_m is doubly transitive on the roots of u",
-         transitivity_degree(GroupDescriptor.symmetric(m), roots_u(m)) >= 2, True),
-        ("S_m has no proper normal subgroup of index dividing m",
-         sm_normal_index_condition(m), True),
-        ("p does not divide 2m", (2 * m) % p != 0, True),
-        ("commutant of W(D_m) on the odd function space mod p has dim",
-         commutant_dim(GroupDescriptor.wdm(m).generators(), odd_space(m, p)), 1),
-        (f"Gal over Q(zeta_{p}) established", ext.verdict, None),
-    ) or _guarded(
-        steps, "EigenvalueMultiplicities",
-        "the automorphism eigenvalue multiplicities on the "
-        "anti-invariant differentials are rj (j even) and rj-1 (j odd); "
-        "they are pairwise distinct and coprime",
-        ("multiplicity table", table.to_json(), None),
-        ("multiplicities pairwise distinct", distinct, True),
-        ("gcd of multiplicities is 1", multiplicities_coprime(p, r), True),
-        ("multiplicities sum to dim Prym", table.total() == d, True),
-        ("dim Prym", d, None),
-    ) or _guarded(
-        steps, "NonJacobian",
-        "Prym is isomorphic neither to the jacobian of a smooth "
-        "projective curve nor to a product of jacobians",
-        ("r - 1 < (2 dim Prym)/(p(p-1)) - (p-2)/p (exact rationals)",
-         non_jacobian_inequality(p, r), True),
-        ("multiplicities pairwise distinct", distinct, True),
-        ("smallest multiplicity", table.values()[0], None),
-    )
+    failed = _step(
+        steps, "EndomorphismRing", r % 2 == 0,
+        transitivity_degree(GroupDescriptor.symmetric(m), roots_u(m)) >= 2,
+        sm_normal_index_condition(m), (2 * m) % p != 0,
+        commutant_dim(GroupDescriptor.wdm(m).generators(), odd_space(m, p)), ext.verdict, p=p,
+    ) or _step(
+        steps, "EigenvalueMultiplicities", table.to_json(), distinct,
+        multiplicities_coprime(p, r), table.total() == d, d,
+    ) or _step(steps, "NonJacobian", non_jacobian_inequality(p, r), distinct, table.values()[0])
     if failed:
         return cert(steps, INCONCLUSIVE, {"failed_premise": failed})
 

@@ -855,6 +855,12 @@ class NotApplicable(Record):
     failed: str
 
 
+# the premises of the even-composite rule, in order; galoiscert's IrredX2 states them
+_COMPOSITE_FACTS = ("deg u odd and >= 3", "u monic", "coefficient of x^2 is 0",
+                    "coefficient of x is -1", "constant term -c, c nonzero",
+                    "u irreducible over Q (witness prime)")
+
+
 def _composite_rule(u: IntPoly, irreducibility):
     """Certify that u(x^2) is irreducible over Q from the shape of u.
 
@@ -879,15 +885,8 @@ def _composite_rule(u: IntPoly, irreducibility):
     verdict = irreducibility()
     if not isinstance(verdict, Irreducible):
         return NotApplicable("u was not certified irreducible over Q")
-    premises = (
-        ("deg u odd and >= 3", m),
-        ("u monic", True),
-        ("coefficient of x^2 is 0", True),
-        ("coefficient of x is -1", True),
-        ("constant term -c, c nonzero", -u.coeff(0)),
-        ("u irreducible over Q (witness prime)", verdict.witness),
-    )
-    return Certified(premises)
+    values = (m, True, True, True, -u.coeff(0), verdict.witness)
+    return Certified(tuple(zip(_COMPOSITE_FACTS, values)))
 
 
 # the names no command runs, defined in prymcert.reference and resolved from here (PEP 562)

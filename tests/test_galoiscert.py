@@ -792,3 +792,116 @@ def test_descent_refuses_an_inconclusive_base():
 def test_even_containment_rejects_a_repeated_factor():
     with pytest.raises(ValueError, match="u must be squarefree"):
         even_containment(parse_poly("x^3 - x^2 - x + 1"))  # (x - 1)^2 (x + 1)
+
+
+# ---------------------------------------------------------------------------
+# the rule table: every step is built from _RULES and judged by it
+# ---------------------------------------------------------------------------
+
+_TABLE_CERTIFICATES = {
+    **{f"prym({p},{r})": functools.partial(certify_prym, p, r)
+       for p, r in ((5, 2), (3, 4), (7, 2), (11, 2), (3, 8), (3, 2), (5, 4), (7, 8))},
+    "wdm(9,3)": functools.partial(certify_wdm_over_Q, 9, 3),
+    "wdm(11,1,budget 5)": functools.partial(certify_wdm_over_Q, 11, 1, prime_budget=5),
+}
+
+
+def _table_premises(cert, step):
+    """The (fact, required) premises of the one _RULES entry that built the step."""
+    facts = [prem["fact"] for prem in step.premises]
+    entries = [
+        [(fact.format(**cert.params), req) for fact, req in premises]
+        for key, (_, premises) in galoiscert._RULES.items()
+        if key.partition(":")[0] == step.rule
+    ]
+    matches = [premises for premises in entries if [fact for fact, _ in premises] == facts]
+    assert len(matches) == 1, (step.rule, facts)
+    return matches[0]
+
+
+@pytest.mark.parametrize("name", list(_TABLE_CERTIFICATES))
+def test_every_step_comes_from_the_table_and_meets_it(name):
+    cert = _TABLE_CERTIFICATES[name]()
+    for step in cert.steps:
+        premises = _table_premises(cert, step)
+        if cert.verdict == "Deterministic":
+            for (fact, req), prem in zip(premises, step.premises):
+                assert req is None or prem["value"] == req, (name, step.rule, fact)
+
+
+def test_the_table_tells_a_reported_false_from_a_required_one():
+    rules = galoiscert._RULES
+    assert dict(rules["CyclotomicDescent"][1])["shortcut: 2^(r-2) < p-1"] is None
+    assert dict(rules["SmCert"][1])["disc(u) is a square"] is False
+    values = {prem["fact"]: prem["value"] for step in certify_prym(3, 4).steps
+              for prem in step.premises}
+    assert values["shortcut: 2^(r-2) < p-1"] is False  # reported in a Deterministic chain
+    assert values["disc(u) is a square"] is False  # required
+
+
+def _first_unmet(cert):
+    step = cert.steps[-1]
+    return next(fact for (fact, req), prem in zip(_table_premises(cert, step), step.premises)
+                if req is not None and prem["value"] != req)
+
+
+@pytest.mark.parametrize("leaf, forced, p, r",
+                         [(*case[:2], 3, 4) for case in _FORCED_GUARDS] + [(None, None, 5, 4)],
+                         ids=[case[0] for case in _FORCED_GUARDS] + ["descent(5,4)"])
+def test_a_guarded_exit_names_the_first_unmet_premise_of_its_last_step(
+    monkeypatch, leaf, forced, p, r
+):
+    if leaf is not None:
+        monkeypatch.setattr(galoiscert, leaf, forced)
+    cert = certify_prym(p, r)
+    assert cert.verdict == "Inconclusive"
+    assert cert.verdict_detail["failed_premise"] == _first_unmet(cert)
+
+
+_REQUIRED = [(key, i) for key, (_, premises) in galoiscert._RULES.items()
+             for i, (_, req) in enumerate(premises) if req is not None]
+
+
+def _flip_required(monkeypatch, key, index):
+    """Require a value no premise can have at one table premise; return its fact."""
+    conclusion, premises = galoiscert._RULES[key]
+    flipped = list(premises)
+    flipped[index] = (premises[index][0], object())
+    monkeypatch.setitem(galoiscert._RULES, key, (conclusion, tuple(flipped)))
+    return premises[index][0]
+
+
+@pytest.mark.parametrize("key, index", _REQUIRED,
+                         ids=[f"{key}[{index}]" for key, index in _REQUIRED])
+def test_flipping_a_required_value_ends_the_chain(monkeypatch, key, index):
+    _flip_required(monkeypatch, key, index)
+    cert = certify_prym(3, 4)
+    assert cert.verdict != "Deterministic"
+    assert cert.claims == []
+
+
+@pytest.mark.parametrize("index", [i for key, i in _REQUIRED if key == "IrredX2"])
+def test_flipping_an_irred_x2_required_ends_the_sampling_chain(monkeypatch, index):
+    fact = _flip_required(monkeypatch, "IrredX2", index)
+    cert = certify_wdm_over_Q(5, 1, samples=100)
+    assert cert.verdict == "Inconclusive"
+    assert cert.steps[-1].rule == "IrredX2"
+    assert cert.verdict_detail == {"failed_premise": fact}
+    assert cert.claims == []
+
+
+def test_the_descent_cross_check_survives_python_O(monkeypatch):
+    monkeypatch.setattr(galoiscert, "disc_of_even_composite", lambda m, c: 12345)
+    with pytest.raises(AssertionError, match="closed form disagrees with subresultants"):
+        certify_prym(3, 4)
+    code = (
+        "from prymcert import galoiscert\n"
+        "galoiscert.disc_of_even_composite = lambda m, c: 12345\n"
+        "print(galoiscert.certify_prym(3, 4).verdict)\n"
+    )
+    src = str(Path(prymcert.__file__).resolve().parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         timeout=60)
+    assert res.returncode != 0, res.stdout.decode()
+    assert b"closed form disagrees with subresultants" in res.stderr
