@@ -8,11 +8,12 @@ unconditional.  Probabilistic evidence is always labeled as such and never
 silently upgraded.
 
 The package itself holds only the constants shared by the CLI and the
-certificate engine.  Its exports (IntPoly, parse_poly, certify_prym,
-certify_wdm_over_Q, cyclotomic_descent) are resolved on first access
-(PEP 562), so `import prymcert` compiles none of the pipeline modules
-(galoiscert, intpoly, signedperm, fpmodule); a CLI command imports the ones
-it runs.
+certificate engine, the default budgets among them.  Its exports (IntPoly,
+parse_poly, certify_prym, certify_wdm_over_Q, cyclotomic_descent) are
+resolved on first access (PEP 562), so `import prymcert` compiles none of
+the pipeline modules (galoiscert, intpoly, signedperm, fpmodule); a CLI
+command imports the ones it runs.  `_resolver` builds that lookup, here and
+in each module whose `_MOVED` names live in `reference`.
 """
 
 import json
@@ -28,11 +29,28 @@ INCONCLUSIVE = "Inconclusive"
 
 # the smallest m for which the deterministic chain over Q applies
 DET_MIN_M = 9
+# the defaults of --prime-budget (the witness walk's last prime) and --samples
+PRIME_BUDGET = 500
+SAMPLES = 2000
 
 
 def canonical_json(doc) -> str:
     """The canonical text of a JSON document: sorted keys, indent 2, final newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _resolver(module: str, homes: dict[str, str]):
+    """The PEP 562 __getattr__ of `module`: each name in homes is read from
+    the submodule homes[name] of this package, imported on first access."""
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{homes[name]}"), name)
+
+    return __getattr__
 
 
 # export -> the submodule that defines it
@@ -45,11 +63,4 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "__version__"]
-
-
-def __getattr__(name):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+__getattr__ = _resolver(__name__, _EXPORTS)

@@ -25,8 +25,10 @@ from . import (
     DET_MIN_M,
     DETERMINISTIC,
     INCONCLUSIVE,
+    PRIME_BUDGET,
     PROBABILISTIC,
     REFUTED,
+    SAMPLES,
     SCHEMA_VERSION,
     TOOL_NAME,
     TOOL_VERSION,
@@ -37,8 +39,6 @@ EXIT_DETERMINISTIC = 0
 EXIT_REFUTED = 1
 EXIT_PROBABILISTIC = 2
 EXIT_USAGE = 3
-
-_PRIME_BUDGET = 500  # --prime-budget when absent (None); sample mode takes none
 
 _VERDICT_EXIT = {
     DETERMINISTIC: EXIT_DETERMINISTIC,
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--samples", type=_positive_int, default=2000)
+        sp.add_argument("--samples", type=_positive_int, default=SAMPLES)
         sp.add_argument("--prime-budget", type=_positive_int, default=None)
 
     def output(sp, run, formats=("json", "text")):
@@ -137,7 +137,7 @@ def cmd_verify(args):
     from .galoiscert import certify_prym
 
     cert = certify_prym(
-        args.p, args.r, args.samples, prime_budget=args.prime_budget or _PRIME_BUDGET
+        args.p, args.r, args.samples, prime_budget=args.prime_budget or PRIME_BUDGET
     )
     return cert.to_json(), _VERDICT_EXIT[cert.verdict], _render_certificate
 
@@ -238,17 +238,11 @@ def _render_scan(doc: dict, fmt: str) -> str:
 
 
 def _family_shape(h) -> tuple[int, int] | None:
-    """Recover (m, c) when h = x^(2m) - x^2 - c, else None."""
-    d = h.degree
-    if d < 6 or d % 2:
-        return None
-    m = d // 2
-    c = -h.coeff(0)
-    expect = {0: -c, 2: -1, d: 1}
-    for k in range(d + 1):
-        if h.coeff(k) != expect.get(k, 0):
-            return None
-    return m, c
+    """Recover (m, c) when h = x^(2m) - x^2 - c with m >= 3, else None."""
+    from .intpoly import compose_x2, trinomial
+
+    m, c = h.degree // 2, -h.coeff(0)
+    return (m, c) if m >= 3 and h == compose_x2(trinomial(m, c)) else None
 
 
 def cmd_galois(args):
@@ -284,7 +278,7 @@ def cmd_galois(args):
         from .galoiscert import certify_wdm_over_Q
 
         cert = certify_wdm_over_Q(
-            *shape, args.samples, prime_budget=args.prime_budget or _PRIME_BUDGET
+            *shape, args.samples, prime_budget=args.prime_budget or PRIME_BUDGET
         )
         return cert.to_json(), _VERDICT_EXIT[cert.verdict], _render_certificate
 

@@ -26,16 +26,9 @@ under A_m and S_m for every odd m by `_heart_is_irreducible`.
 
 from __future__ import annotations
 
+from . import _resolver
 from ._primes import is_prime
 from .signedperm import LabeledRoots, SignedPerm, roots_h
-
-__all__ = [
-    "FpMatrix",
-    "FpSpace",
-    "odd_space",
-    "action_matrix",
-    "commutant_dim",
-]
 
 
 def _check_modulus(p: int) -> None:
@@ -66,10 +59,6 @@ class FpMatrix:
     @classmethod
     def identity(cls, p: int, n: int) -> FpMatrix:
         return cls(p, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
 
     def __matmul__(self, other: FpMatrix) -> FpMatrix:
         if self.p != other.p:
@@ -357,9 +346,4 @@ _MOVED = {"constant_space", "d2_matrix", "even_space", "even_zero_space",
           "function_space_on_roots", "heart_f2_irreducible", "lambda_rank_check",
           "orbit_count_formula", "vf_plus_space", "vf_space"}
 
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-    return getattr(reference, name)
+__getattr__ = _resolver(__name__, dict.fromkeys(_MOVED, "reference"))

@@ -20,9 +20,16 @@ being None for a value the step only reports.  _step, the one builder,
 appends a step from the table and returns the first premise whose value is
 not its required value; the chain ends there, Inconclusive with that fact
 as failed_premise (Refuted at EvenContainment, an equivalence).  The
-document records the values, the table the requirements.  Exits that are
-no premise failure (a repeated factor, a walk out of primes, sampling) are
-explicit.  A refused descent also records the verdict of its base over Q.
+document records the values, the table the requirements.  The explicit
+exits name a failed_premise text of their own, which no _RULES fact states
+and tests pin: a repeated factor ("u is squarefree"), the containment
+refutation ("-u(0) is a square in Q"), no irreducibility witness ("u is
+irreducible over Q"), a square disc(u) ("disc(u) is not a square"), no
+Jordan prime ("a qualifying prime-length cycle was observed"), a composite
+rule that does not apply ("the composite irreducibility rule applies") and
+a sampling refutation ("all sampled cycle types possible in W(D_m)"); a
+reader that maps failed premises to table facts maps these by hand.  A
+refused descent also records the verdict of its base over Q.
 
 Conclusions about the Prym variety itself (endomorphism ring, simplicity,
 not being a jacobian) are emitted as claims with checked=false: the engine
@@ -45,8 +52,10 @@ from . import (  # the shared constants, re-exported
     DET_MIN_M,
     DETERMINISTIC,
     INCONCLUSIVE,
+    PRIME_BUDGET,
     PROBABILISTIC,
     REFUTED,
+    SAMPLES,
     SCHEMA_VERSION,
     TOOL_NAME,
     TOOL_VERSION,
@@ -424,9 +433,9 @@ def _witness_walk(u: IntPoly, disc_u: int, prime_budget: int):
 def certify_wdm_over_Q(
     m: int,
     c: int,
-    samples: int = 2000,
+    samples: int = SAMPLES,
     seed: int = 0,
-    prime_budget: int = 500,
+    prime_budget: int = PRIME_BUDGET,
 ) -> Certificate:
     """Certify Gal(u(x^2)/Q) = W(D_m) for u = x^m - x - c.
 
@@ -588,9 +597,9 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
 def certify_prym(
     p: int,
     r: int,
-    samples: int = 2000,
+    samples: int = SAMPLES,
     seed: int = 0,
-    prime_budget: int = 500,
+    prime_budget: int = PRIME_BUDGET,
 ) -> Certificate:
     """Full pipeline for the family member (p, r, c=1).
 

@@ -4,7 +4,7 @@ Polynomials are dense coefficient tuples of arbitrary-precision integers
 (index = degree of the monomial), so nothing in this module ever rounds.
 Resultants and discriminants are computed by the subresultant polynomial
 remainder sequence: no fraction-field arithmetic, exact at every step, and
-fast at the degrees (up to 122 for m = 61) the certificate pipeline needs.
+fast at the degrees the pipeline needs (up to 238, at m = 119).
 Factorization data mod q is limited to distinct-degree factorization, since
 the Frobenius machinery downstream only consumes the multiset of
 irreducible-factor degrees, never the factors themselves.
@@ -67,32 +67,10 @@ import re
 from functools import cache
 from itertools import islice, takewhile
 
+from . import _resolver
 from ._primes import is_prime, primes
 from ._record import Record
-from .prymcalc import ConditionPR, condition_p_r  # re-exported; their home is prymcalc
-
-__all__ = [
-    "IntPoly",
-    "CycleType",
-    "parse_poly",
-    "format_poly",
-    "compose_x2",
-    "resultant",
-    "discriminant",
-    "poly_gcd",
-    "trinomial_disc",
-    "disc_of_even_composite",
-    "unramified_factor_degrees",
-    "Irreducible",
-    "Inconclusive",
-    "Certified",
-    "NotApplicable",
-    "condition_p_r",
-    "ConditionPR",
-    "is_square",
-    "is_prime",
-    "primes",
-]
+from .prymcalc import condition_p_r  # re-exported; its home is prymcalc
 
 
 class IntPoly:
@@ -894,9 +872,4 @@ _MOVED = {"DiscPair", "RAMIFIED", "Reducible", "_RamifiedType", "_divisors",
           "_rational_root_factor", "build_family", "family_disc_pair",
           "irreducible_composite_rule", "irreducible_over_Q", "reduce_and_factor_degrees"}
 
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-    return getattr(reference, name)
+__getattr__ = _resolver(__name__, dict.fromkeys(_MOVED, "reference"))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from . import _resolver
 from ._primes import is_prime
 from ._record import Record
 
@@ -145,9 +146,4 @@ def condition_p_r(p: int, r: int) -> ConditionPR:
 # the names no command runs, defined in prymcert.reference and resolved from here (PEP 562)
 _MOVED = {"BasisForm", "anti_invariant_partition", "omega_basis"}
 
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-    return getattr(reference, name)
+__getattr__ = _resolver(__name__, dict.fromkeys(_MOVED, "reference"))

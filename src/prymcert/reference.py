@@ -4,15 +4,16 @@ The checked entry points that the one prime walk replaced (factor degrees
 mod q, irreducibility over Q), brute-force and Schreier oracles, the
 function spaces other than the odd one, and the differential basis.  Each
 name keeps its old module (intpoly, signedperm, fpmodule or prymcalc),
-which resolves it from here on first access (PEP 562); this module imports
-only what stays there, so no command compiles it.
+whose `_MOVED` names the package's one resolver reads from here on first
+access (PEP 562); this module imports only what stays there, so no command
+compiles it.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import intpoly  # its kernel is called through the module, where tests patch it
+from . import PRIME_BUDGET, intpoly  # its kernel is called through it, where tests patch it
 from ._primes import is_prime
 from ._record import Record
 from .fpmodule import FpMatrix, FpSpace, _heart_is_irreducible, _space, action_matrix
@@ -129,7 +130,7 @@ def _rational_root_factor(f: IntPoly):
     return None
 
 
-def irreducible_over_Q(f: IntPoly, prime_budget: int = 500):
+def irreducible_over_Q(f: IntPoly, prime_budget: int = PRIME_BUDGET):
     """Three-valued irreducibility verdict over Q; never guesses.
 
     Irreducible(q) when f mod q is irreducible for some prime q <= budget
@@ -155,7 +156,7 @@ def irreducible_over_Q(f: IntPoly, prime_budget: int = 500):
     return Inconclusive()
 
 
-def irreducible_composite_rule(u: IntPoly, prime_budget: int = 500):
+def irreducible_composite_rule(u: IntPoly, prime_budget: int = PRIME_BUDGET):
     """Certify that u(x^2) is irreducible over Q from the shape of u.
 
     Premises: deg u = m odd >= 3, u monic, u irreducible over Q, coefficient

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from . import _resolver
 from ._primes import is_prime
 from ._record import Record
 from .intpoly import CycleType, sign_lift
@@ -571,9 +572,4 @@ def sm_certificate(types, disc_is_square: bool, irreducible: bool, m: int):
 _MOVED = {"compose", "cycle_type_from_label_action", "in_wdm", "kappa_u", "roots_f",
           "stabilizer_generators", "stabilizer_orbit_count"}
 
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-    return getattr(reference, name)
+__getattr__ = _resolver(__name__, dict.fromkeys(_MOVED, "reference"))

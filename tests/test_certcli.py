@@ -434,3 +434,58 @@ def test_verify_refuses_a_strong_pseudoprime(capsys):
     assert capsys.readouterr().err == (
         "prymcert: error: p must be an odd prime, got 318665857834031151167461\n"
     )
+
+
+def test_the_cli_corpus_matches_its_golden_lines():
+    """Every command of tools/cli_corpus.py, run through main in process, gives
+    the stdout and stderr hashes and the exit code of tests/cli_corpus.expected."""
+    import contextlib
+    import importlib.util
+    import io
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("cli_corpus", root / "tools" / "cli_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    lines = []
+    for argv in corpus.CORPUS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        lines.append(corpus.corpus_line(argv, out.getvalue().encode(), err.getvalue().encode(), code))
+    assert lines == (root / "tests" / "cli_corpus.expected").read_text().splitlines()
+
+
+def test_a_non_integer_samples_is_usage_error(capsys):
+    assert run(["galois", "--m", "9", "--samples", "abc"]) == 3
+    assert capsys.readouterr().err == (
+        "prymcert: error: argument --samples: invalid int value: 'abc'\n"
+    )
+
+
+def test_galois_sample_text_form_of_a_refutation(capsys):
+    assert run(["galois", "--poly", "x^14 - x - 1", "--mode", "sample", "--format", "text"]) == 1
+    text = capsys.readouterr().out
+    assert "consistent: False\nrefuted at q = 2 by cycle type [2, 5, 7]\n" in text
+    assert "samples:" not in text and text.endswith("the cycle type of a Frobenius element)\n")
+
+
+@pytest.mark.parametrize("poly", [
+    "x^10 - x^2 + x - 1",  # a stray x term
+    "2x^10 - x^2 - 1",  # leading coefficient 2
+    "x^4 - x^2 - 1",  # m = 2
+    "x^10 + x^2 - 1",  # +x^2
+])
+def test_certify_mode_refuses_a_near_family_poly(poly, capsys):
+    assert run(["galois", "--poly", poly]) == 3
+    assert capsys.readouterr().err == (
+        "prymcert: error: certify mode needs the family shape x^(2m) - x^2 - c "
+        "(pass --m/--c or a matching --poly)\n"
+    )
+
+
+def test_certify_mode_reads_m_and_c_off_a_matching_poly(capsys):
+    code = run(["galois", "--poly", "x^18 - x^2 + 1"])
+    by_poly = capsys.readouterr().out
+    assert run(["galois", "--m", "9", "--c", "-1"]) == code == 1  # -u(0) = -1 is no square
+    assert capsys.readouterr().out == by_poly

@@ -341,3 +341,21 @@ def test_elimination_matches_sympy_oracle():
         B = _random_matrix(rng, 6, 4, p, 2)
         with pytest.raises(ValueError, match="full column rank"):
             _solve_in_span(B, _mul(B, _random_matrix(rng, 4, 2, p), p), p)
+
+
+def test_fpspace_rejects_a_composite_modulus_and_a_mismatched_basis():
+    roots = roots_h(3)
+    rows = len(roots.labels())
+    with pytest.raises(ValueError, match="p must be prime, got 9"):
+        FpSpace(9, roots, [[1]] * rows, "bad")
+    with pytest.raises(ValueError, match="basis rows must match the ambient label count"):
+        FpSpace(5, roots, [[1]] * (rows - 1), "bad")
+    assert repr(FpSpace(5, roots, [[1]] * rows, "ones")) == "FpSpace(ones, p=5, dim=1)"
+
+
+def test_fpmatrix_moduli_hash_and_repr():
+    a = FpMatrix(5, [[1, 7], [0, 1]])
+    with pytest.raises(ValueError, match="mismatched moduli"):
+        a @ FpMatrix(7, [[1, 0], [0, 1]])
+    assert hash(a) == hash(FpMatrix(5, [[1, 2], [0, 1]]))
+    assert repr(a) == "FpMatrix(p=5, [[1, 2], [0, 1]])"

@@ -937,3 +937,57 @@ def test_odd_trinomial_has_no_rational_root():
         for c in range(-49, 50, 2):
             verdict = irreducible_over_Q(trinomial(m, c), prime_budget=1)
             assert isinstance(verdict, Inconclusive), (m, c, verdict)
+
+
+def test_intpoly_rejects_non_int_coefficients_and_assignment():
+    with pytest.raises(TypeError, match="integer coefficients required, got 1.5"):
+        IntPoly([1, 1.5])
+    f = IntPoly([1, 2])
+    with pytest.raises(AttributeError, match="IntPoly is immutable"):
+        f.coeffs = (3,)
+    assert f.coeffs == (1, 2)
+
+
+def test_arithmetic_refusals_and_small_cases():
+    from prymcert.intpoly import _prem
+
+    x, one = IntPoly.x(), IntPoly.one()
+    with pytest.raises(ValueError, match="coefficient 3 not divisible by 2"):
+        IntPoly([2, 3]).exact_div(2)
+    with pytest.raises(ValueError, match="degree must be >= 2, got 1"):
+        trinomial(1, 1)
+    with pytest.raises(ValueError, match="pseudo-division requires deg a >= deg b"):
+        _prem(x + one, x * x + one)
+    with pytest.raises(ValueError, match="negative exponent"):
+        x ** -1
+    assert x - one == IntPoly([-1, 1]) and format_poly(IntPoly.zero()) == "0"
+
+
+def test_resultant_with_a_constant_and_gcd_with_zero():
+    x, one = IntPoly.x(), IntPoly.one()
+    assert resultant(IntPoly([3]), IntPoly([5])) == 1
+    assert resultant(IntPoly([3]), x * x + one) == resultant(x * x + one, IntPoly([3])) == 9
+    assert resultant(IntPoly([-2]), x**3 + one) == -8
+    assert poly_gcd(IntPoly.zero(), IntPoly.zero()) == IntPoly.zero()
+    assert poly_gcd(IntPoly.zero(), IntPoly([-4, -2])) == poly_gcd(IntPoly([6, 3]), IntPoly.zero())
+    assert poly_gcd(IntPoly.zero(), IntPoly([-4, -2])) == x + 2 * one
+    assert poly_gcd(x + one, x * x - one) == x + one  # deg a < deg b
+
+
+def test_composite_rule_refuses_a_wrong_x_coefficient():
+    verdict = irreducible_composite_rule(parse_poly("x^5 - 2x - 1"))
+    assert verdict == NotApplicable("coefficient of x must be -1, got -2")
+
+
+def test_rational_root_factor_and_the_ramified_sentinel():
+    from prymcert.reference import _rational_root_factor
+
+    assert _rational_root_factor(parse_poly("x^3 + x")) == IntPoly.x()
+    assert _rational_root_factor(parse_poly("2x^2 + 3x + 2")) is None  # skips p/s = 2/2
+    assert repr(RAMIFIED) == "Ramified"
+
+
+def test_is_prime_below_two():
+    from prymcert._primes import is_prime
+
+    assert not any(map(is_prime, (-7, -2, 0, 1))) and is_prime(2)

@@ -393,3 +393,31 @@ def test_sm_certificate_needs_a_cycle_longer_than_half():
     # of type [5, 5]: a 5-cycle is no Jordan witness for m = 10 (5 is not > 10/2)
     assert isinstance(sm_certificate([CycleType([5, 5])], False, True, 10), SmInconclusive)
     assert isinstance(sm_certificate([CycleType([7, 3])], False, True, 10), IsSm)
+
+
+def test_signed_perm_rejects_a_malformed_s_or_eps_and_assignment():
+    with pytest.raises(ValueError, match=r"not a permutation of 0\.\.2: \(0, 0, 1\)"):
+        SignedPerm((0, 0, 1), (1, 1, 1))
+    for eps in ((1, 1), (1, 0, 1)):
+        with pytest.raises(ValueError, match="eps must be a vector of"):
+            SignedPerm((0, 1, 2), eps)
+    g = SignedPerm.identity(3)
+    with pytest.raises(AttributeError, match="SignedPerm is immutable"):
+        g.s = (1, 0, 2)
+
+
+def test_a_generated_group_past_its_budget_is_refused():
+    gens = [SignedPerm.transposition(4, 1, 2), SignedPerm.full_cycle(4)]
+    with pytest.raises(EnumerationBudgetError, match="generated group exceeds enumeration budget 5"):
+        elements(GroupDescriptor.generated(gens), budget=5)
+    assert len(elements(GroupDescriptor.generated(gens), budget=24)) == 24
+    with pytest.raises(ValueError, match="m required for an empty generating set"):
+        GroupDescriptor.generated([])
+    with pytest.raises(ValueError, match="need at least one base generator"):
+        GroupDescriptor.two_m([])
+
+
+def test_small_orbit_cases():
+    assert transitivity_degree(GroupDescriptor.symmetric(1), roots_u(1)) == 1
+    w5 = GroupDescriptor.wdm(5)
+    assert stabilizer_orbit_count(w5, roots_h(5)) == stabilizer_orbit_count(w5, roots_h(5), 1)

@@ -7,6 +7,8 @@ as `python -m prymcert.certcli` in a child process with SRC first on
 PYTHONPATH.  Each line holds the sha256 of stdout, the sha256 of stderr, the
 exit code and the argv.  Run it on two checkouts and diff the outputs: equal
 lines mean byte-identical output and exit codes for every command.
+`tests/cli_corpus.expected` holds these lines, and a test compares the
+corpus run in process with it, so a deliberate byte change edits that file.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ CORPUS = [
 ]
 
 
+def corpus_line(args: list[str], stdout: bytes, stderr: bytes, code: int) -> str:
+    """One output line: the sha256 of stdout and of stderr, the exit code, the argv."""
+    out, err = (hashlib.sha256(b).hexdigest() for b in (stdout, stderr))
+    return f"{out} {err} {code} {shlex.join(args)}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not os.path.isdir(argv[0]):
         print("usage: python tools/cli_corpus.py SRC", file=sys.stderr)
@@ -90,8 +98,7 @@ def main(argv: list[str]) -> int:
         res = subprocess.run(
             [sys.executable, "-m", "prymcert.certcli", *args], env=env, capture_output=True
         )
-        out, err = (hashlib.sha256(b).hexdigest() for b in (res.stdout, res.stderr))
-        print(out, err, res.returncode, shlex.join(args), flush=True)
+        print(corpus_line(args, res.stdout, res.stderr, res.returncode), flush=True)
     return 0
 
 
