@@ -45,6 +45,7 @@ Certificate JSON schema "prym-cert/1":
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from itertools import islice
 
@@ -213,7 +214,10 @@ def _step(steps: list[RuleStep], key: str, *values, **fmt) -> str | None:
 
 
 class Certificate(Record, frozen=False):
-    """A sealed deduction chain with parameters, steps, verdict and claims."""
+    """A sealed deduction chain with parameters, steps, verdict and claims.
+
+    A chain that establishes nothing omits claims and gets its own [].
+    """
 
     params: dict
     config: dict
@@ -221,7 +225,7 @@ class Certificate(Record, frozen=False):
     steps: list[RuleStep]
     verdict: str
     verdict_detail: dict
-    claims: list[dict]
+    claims: list[dict] = []
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +243,12 @@ class Certificate(Record, frozen=False):
         return canonical_json(self.to_json())
 
 
-class SamplingReport(Record, frozen=False):
+def _claim(via: str, statement: str, checked: bool = False) -> dict:
+    """A document's claim, checked or only bridged by the rule it names (`via`)."""
+    return {"statement": statement, "checked": checked, "via": via}
+
+
+class SamplingReport(Record):
     """Frobenius cycle-type sampling against an exact census.
 
     A refutation (some observed type impossible in the target group) is
@@ -298,15 +307,15 @@ def chebotarev_verdict(
 ) -> SamplingReport:
     """Sample Frobenius cycle types of h and compare with the target census.
 
-    Consistent samples are reported with observed vs expected class counts
-    (expected = samples * class size / group order) and an advisory
-    chi-square statistic.  The first impossible type refutes immediately:
-    no later prime is factored.
-    With pool > samples, the sampled primes are a seed-shuffled subset of the
-    first `pool` unramified primes; otherwise the seed plays no role and the
-    first `samples` unramified primes are used in increasing order.  An
-    over-budget target group, then a polynomial with a repeated factor (no
-    unramified prime), are rejected with a ValueError.
+    One stream of (q, cycle type) is read once: the lazy walk over the first
+    `samples` unramified primes in increasing order, the seed playing no role,
+    or with pool > samples a seeded sample of the first `pool` of them, all
+    factored first.  The first impossible type refutes at once, as the
+    report's (refuting prime, refuting type), and no later prime of the walk
+    is factored.  Consistent samples are reported with observed vs expected
+    counts per census class (expected = samples * class size / group order)
+    and an advisory chi-square statistic.  An over-budget target group, then a
+    polynomial with a repeated factor (no unramified prime), raise ValueError.
     """
     if samples < 10:
         raise ValueError("at least 10 unramified primes are required")
@@ -316,58 +325,35 @@ def chebotarev_verdict(
         )
     # an over-budget census is refused before disc(h) is computed for the sampler
     cens = census(target)
-    frobenius = unramified_frobenius_samples(h, pool if pool and pool > samples else samples)
     support = set(cens)
     order = sum(cens.values())
-    tj = target.to_json()
-
-    stream = frobenius  # lazy, so a refuting prime ends the factoring
+    # lazy, so a refuting prime ends the factoring
+    stream = unramified_frobenius_samples(h, max(samples, pool or 0))
     if pool and pool > samples:
-        rng = random.Random(seed)
-        stream = sorted(rng.sample(list(frobenius), samples))
+        stream = sorted(random.Random(seed).sample(list(stream), samples))
 
     observed: dict[CycleType, int] = {}
     qs: list[int] = []
-    refuting_prime = refuting_type = None
+    refuting = None  # (q, cycle type)
     for q, ct in stream:
         qs.append(q)
         if find_refutation([ct], support) is not None:
-            refuting_prime, refuting_type = q, list(ct)
+            refuting = q, list(ct)
             break
         observed[ct] = observed.get(ct, 0) + 1
 
     n = sum(observed.values())  # the samples before any refuting one
     chi = dof = None
-    if refuting_prime is None:
+    if refuting is None:
         chi = 0.0
         for ct, cnt in cens.items():
             expected = n * cnt / order
             chi += (observed.get(ct, 0) - expected) ** 2 / expected
         chi, dof = round(chi, 6), len(cens) - 1
-    return SamplingReport(
-        target=tj,
-        group_order=order,
-        samples=len(qs),
-        seed=seed,
-        consistent=refuting_prime is None,
-        refuting_prime=refuting_prime,
-        refuting_type=refuting_type,
-        classes=_class_table(observed, cens, order, n),
-        chi_square=chi,
-        dof=dof,
-        prime_range=[qs[0], qs[-1]],
-    )
-
-
-def _class_table(observed, cens, order, n) -> list[dict]:
-    return [
-        {
-            "type": list(ct),
-            "count": observed.get(ct, 0),
-            "expected": round(n * cens[ct] / order, 6),
-        }
-        for ct in sorted(cens)
-    ]
+    classes = [{"type": list(ct), "count": observed.get(ct, 0),
+                "expected": round(n * cens[ct] / order, 6)} for ct in sorted(cens)]
+    return SamplingReport(target.to_json(), order, len(qs), seed, refuting is None,
+                          *(refuting or (None, None)), classes, chi, dof, [qs[0], qs[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +438,8 @@ def certify_wdm_over_Q(
     u = trinomial(m, c)
     h = compose_x2(u)
     claim = f"Gal({format_poly(h)} / Q) = W(D_{m})"
-    params = {"p": None, "r": None, "m": m, "n": 2 * m + 1, "c": c}
-    config = _config("galois-certify", m, c, samples, seed, prime_budget)
-
-    def cert(steps, verdict, detail, claims=None):
-        return Certificate(params, config, claim, steps, verdict, detail, claims or [])
+    cert = functools.partial(Certificate, {"p": None, "r": None, "m": m, "n": 2 * m + 1, "c": c},
+                             _config("galois-certify", m, c, samples, seed, prime_budget), claim)
 
     disc_u = discriminant(u)
     if disc_u == 0:
@@ -503,7 +486,7 @@ def certify_wdm_over_Q(
             PROBABILISTIC,
             {"sampling": report.to_json(),
              "reason": f"m = {m} < {DET_MIN_M}: the deterministic chain does not apply"},
-            [{"statement": claim, "checked": False, "via": "ChebotarevVerdict"}],
+            [_claim("ChebotarevVerdict", claim)],
         )
 
     # m >= DET_MIN_M: the deterministic chain
@@ -546,9 +529,7 @@ def certify_wdm_over_Q(
     )
     if failed:
         return cert(steps, INCONCLUSIVE, {"failed_premise": failed})
-    return cert(
-        steps, DETERMINISTIC, {}, [{"statement": claim, "checked": True, "via": "TwoGroup"}]
-    )
+    return cert(steps, DETERMINISTIC, {}, [_claim("TwoGroup", claim, True)])
 
 
 def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
@@ -584,14 +565,14 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
                    cond.shortcut_small, disc_h,
                    "subresultant PRS, cross-checked against the closed form",
                    disc_h % p != 0, claim=claim)
-    config = {**cert_q.config, "command": "galois-descent", "p": p, "r": r}
-    verdict, detail = cert_q.verdict, dict(cert_q.verdict_detail)
-    claims = [{"statement": claim, "checked": verdict == DETERMINISTIC, "via": "CyclotomicDescent"}]
+    cert = functools.partial(Certificate, family.to_json(),
+                             {**cert_q.config, "command": "galois-descent", "p": p, "r": r},
+                             claim, steps)
     if failed:
         steps[-1].conclusion = f"descent to Q(zeta_{p}) refused; the claim over Q is unaffected"
-        verdict, claims = INCONCLUSIVE, []
-        detail = {"failed_premise": failed, "base_verdict": cert_q.verdict}
-    return Certificate(family.to_json(), config, claim, steps, verdict, detail, claims)
+        return cert(INCONCLUSIVE, {"failed_premise": failed, "base_verdict": cert_q.verdict})
+    return cert(cert_q.verdict, dict(cert_q.verdict_detail),
+                [_claim("CyclotomicDescent", claim, cert_q.verdict == DETERMINISTIC)])
 
 
 def certify_prym(
@@ -615,14 +596,10 @@ def certify_prym(
     """
     family = FamilyParams(p, r, 1)  # validates p, r
     m = family.m
-    u = trinomial(m, 1)
-    h = compose_x2(u)
-    params = family.to_json()
-    config = _config("verify", p, r, samples, seed, prime_budget)
+    h = compose_x2(trinomial(m, 1))
     claim = f"Gal({format_poly(h)} / Q(zeta_{p})) = W(D_{m})"
-
-    def cert(steps, verdict, detail, claims=None):
-        return Certificate(params, config, claim, steps, verdict, detail, claims or [])
+    cert = functools.partial(Certificate, family.to_json(),
+                             _config("verify", p, r, samples, seed, prime_budget), claim)
 
     if r % 2 != 0:
         return cert(
@@ -655,28 +632,12 @@ def certify_prym(
 
     claims = [
         *ext.claims,
-        {"statement": f"dim Prym = {d}", "checked": True, "via": "EigenvalueMultiplicities"},
-        {
-            "statement": f"End(Prym) = Z[zeta_{p}]",
-            "checked": False,
-            "via": "EndomorphismRing",
-        },
-        {
-            "statement": "Prym is an absolutely simple abelian variety",
-            "checked": False,
-            "via": "EndomorphismRing",
-        },
-        {
-            "statement": "Prym is not isomorphic to the jacobian of a smooth "
-            "projective curve",
-            "checked": False,
-            "via": "NonJacobian",
-        },
-        {
-            "statement": "Prym is not isomorphic to a product of jacobians",
-            "checked": False,
-            "via": "NonJacobian",
-        },
+        _claim("EigenvalueMultiplicities", f"dim Prym = {d}", True),
+        _claim("EndomorphismRing", f"End(Prym) = Z[zeta_{p}]"),
+        _claim("EndomorphismRing", "Prym is an absolutely simple abelian variety"),
+        _claim("NonJacobian",
+               "Prym is not isomorphic to the jacobian of a smooth projective curve"),
+        _claim("NonJacobian", "Prym is not isomorphic to a product of jacobians"),
     ]
     return cert(steps, ext.verdict, ext.verdict_detail, claims)
 

@@ -51,9 +51,10 @@ k = 1..n // 2 fix the factors of degree <= n/2; the one factor left takes
 the sign that makes the product of all the Legendre symbol of (-1)^n g(0),
 g monic.  The traces lie in [-n, n], so their residues mod q > 2n are exact,
 and a table of the signed cycle types of degree n decodes them.  The DDF
-kernel serves q <= 2n and n > 12.  Over 120-prime walks of
-y^n - y - 1 and its g(x^2), the traces took 0.75 and 1.04 of the DDF walk's
-time at n = 12, 0.80 and 1.20 at n = 13, 2.7 and 39 at n = 29.
+kernel serves q <= 2n and n > 12 (_TRACE_MAX_N).  Over 120-prime walks of
+y^n - y - 1 and its g(x^2) (trace table built), the traces took 0.75 and
+1.04 of the DDF walk's time at n = 12, 0.80 and 1.20 at n = 13, 2.7 and 39
+at n = 29.
 
 Text format (parse_poly / format_poly): signed integer-coefficient
 expressions in one variable, e.g. ``x^10 - x^2 - 1``; arbitrary whitespace,
@@ -135,6 +136,8 @@ class IntPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -772,9 +775,8 @@ def unramified_factor_degrees(f: IntPoly, disc: int, prime_budget: int | None = 
     the Legendre symbol of (-1)^n g(0), g monic, key it in _trace_table(n, s);
     a key not in the table raises ArithmeticError.  The DDF kernel runs for
     q <= 2n and for n > _TRACE_MAX_N, where the n // 2 Horner chains of n
-    products mod M per batch cost more than the gcds they replace: over 120
-    primes the traces took 0.75 (odd f) and 1.04 (even f, table built) of
-    the DDF walk's time at n = 12, and 0.80 and 1.20 at n = 13.
+    products mod M per batch cost more than the gcds they replace (the module
+    docstring gives the timings).
     """
     if disc == 0:
         raise ValueError(f"{format_poly(f)} is not squarefree: it shares the factor "

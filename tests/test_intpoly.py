@@ -991,3 +991,11 @@ def test_is_prime_below_two():
     from prymcert._primes import is_prime
 
     assert not any(map(is_prime, (-7, -2, 0, 1))) and is_prime(2)
+
+
+def test_adding_an_int_to_a_polynomial_is_a_type_error():
+    x = IntPoly.x()
+    for expression in (lambda: x + 1, lambda: x - 1, lambda: 1 + x, lambda: x + "1"):
+        with pytest.raises(TypeError):
+            expression()
+    assert x * 3 == 3 * x == IntPoly((0, 3)) and x + x - x == x

@@ -103,3 +103,20 @@ def test_to_json_returns_the_fields_by_name():
     assert RuleStep("R", "c").to_json() == {"rule": "R", "conclusion": "c", "premises": []}
     report = SamplingReport({}, 1, 10, 0, True, None, None, [], 0.0, 0, [3, 37])
     assert list(report.to_json()) == [*SamplingReport._fields, "note"]
+
+
+def test_certificate_claims_default_to_a_fresh_list():
+    a, b = (Certificate({}, {}, "claim", [], "Inconclusive", {}) for _ in range(2))
+    a.claims.append({"statement": "s", "checked": False, "via": "R"})
+    assert b.claims == [] and Certificate({}, {}, "c", [], "Refuted", {}).claims == []
+    assert Certificate({}, {}, "c", [], "Refuted", {}).to_json()["claims"] == []
+
+
+def test_sampling_report_is_frozen():
+    report = SamplingReport({}, 1, 10, 0, True, None, None, [], 0.0, 0, [3, 37])
+    for name in ("consistent", "refuting_prime", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, False)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    assert report.consistent and report.refuting_prime is None

@@ -14,18 +14,25 @@ object's `co_lines()`.  Tests that run prymcert in a child process are not
 traced, so the lines only they reach are listed too.  Nothing is written
 into the tree.  The pytest exit code is the tool's exit code.
 
+Each module's executable lines (or, with --corpus, its functions) and its
+sha256 are read before the run.  If a module of SRC/prymcert changed, was
+added or was removed while the run went on, the recorded lines no longer
+match its text: the tool names each such file and exits 2 without a list.
+
 With --corpus, the tool instead runs `certcli.main` in this process on every
 command of `tools/cli_corpus.CORPUS`, under `sys.setprofile`, and prints,
 per pipeline module (every module of SRC/prymcert but `reference`, which no
 command imports), the module-level functions and the methods that no
 command entered.  Nothing is written into the tree here either.  The exit
-code is 2 if a command imported `reference`, else 0.
+code is 2 if a command imported `reference` or a module was edited mid-run,
+else 0.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -40,10 +47,9 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
-def executable_lines(path: str) -> dict[int, str]:
+def executable_lines(source: str, path: str) -> dict[int, str]:
     """Line -> qualified name of the innermost function holding it."""
-    with open(path, encoding="utf-8") as f:
-        module = compile(f.read(), path, "exec", dont_inherit=True)
+    module = compile(source, path, "exec", dont_inherit=True)
     lines: dict[int, str] = {}
     for code in _code_objects(module):
         name = "<module>" if code is module else getattr(code, "co_qualname", code.co_name)
@@ -53,14 +59,12 @@ def executable_lines(path: str) -> dict[int, str]:
     return lines
 
 
-def _definitions(path: str):
+def _definitions(source: str, path: str):
     """(qualified name, first line) of each module-level function and method.
 
     The first line is that of the code object: the first decorator's, if any.
     """
-    with open(path, encoding="utf-8") as f:
-        tree = ast.parse(f.read(), path)
-    for node in tree.body:
+    for node in ast.parse(source, path).body:
         is_class = isinstance(node, ast.ClassDef)
         for fn in node.body if is_class else [node]:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -68,8 +72,33 @@ def _definitions(path: str):
                 yield name, min([fn.lineno] + [d.lineno for d in fn.decorator_list])
 
 
+def _snapshot(package: str, read) -> dict[str, tuple[str, object]]:
+    """Path -> (sha256, read(source, path)) of each module of the package."""
+    snapshot = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, "rb") as f:
+                data = f.read()
+            snapshot[path] = hashlib.sha256(data).hexdigest(), read(data.decode("utf-8"), path)
+    return snapshot
+
+
+def _edited(package: str, before: dict) -> bool:
+    """Whether a module changed, came or went since `before`; names each on stderr."""
+    after = _snapshot(package, lambda source, path: None)
+    edited = sorted(path for path in before.keys() | after.keys()
+                    if before.get(path, ("",))[0] != after.get(path, ("",))[0])
+    for path in edited:
+        print(f"{path} changed during the run, so the lines recorded no longer match it; "
+              "rerun on a tree that stays unedited", file=sys.stderr)
+    return bool(edited)
+
+
 def corpus(package: str) -> int:
     """Print the functions and methods of the pipeline modules that no corpus command enters."""
+    # read before the import below loads the modules
+    modules = _snapshot(package, lambda source, path: list(_definitions(source, path)))
     from cli_corpus import CORPUS
 
     from prymcert import certcli
@@ -88,16 +117,18 @@ def corpus(package: str) -> int:
                 certcli.main(argv)
     finally:
         sys.setprofile(None)
+    if _edited(package, modules):
+        return 2
     if "prymcert.reference" in sys.modules:
         print("a corpus command imported prymcert.reference", file=sys.stderr)
         return 2
 
     total = 0
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py") or name == "reference.py":
+    for path, (_, definitions) in modules.items():
+        name = os.path.basename(path)
+        if name == "reference.py":
             continue
-        path = os.path.join(package, name)
-        missed = [qualname for qualname, line in _definitions(path) if (path, line) not in entered]
+        missed = [qualname for qualname, line in definitions if (path, line) not in entered]
         total += len(missed)
         print(f"{name}: {len(missed)} functions not entered")
         for qualname in missed:
@@ -119,6 +150,7 @@ def main(argv: list[str]) -> int:
     sys.dont_write_bytecode = True
     if mode_corpus:
         return corpus(package)
+    modules = _snapshot(package, executable_lines)
     ran: dict[str, set[int]] = defaultdict(set)
 
     def local(frame, event, arg):
@@ -147,13 +179,12 @@ def main(argv: list[str]) -> int:
         print(f"the tests imported prymcert from {loaded or 'nowhere'}, not {package}; "
               "run the tool from the root of the checkout that SRC belongs to", file=sys.stderr)
         return 2
+    if _edited(package, modules):
+        return 2
 
     total = 0
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(package, name)
-        lines = executable_lines(path)
+    for path, (_, lines) in modules.items():
+        name = os.path.basename(path)
         missed = sorted(set(lines) - ran[path])
         total += len(missed)
         print(f"{name}: {len(missed)} of {len(lines)} lines not run")
