@@ -3,7 +3,8 @@
 An FpSpace is a based space of functions on a labeled root set; the one
 the pipeline builds is the odd part of the functions on the 2m nonzero
 labels (dimension m, the mod-p model of the Prym torsion).  A signed
-permutation acts by phi -> phi o g^(-1); action matrices are signed
+permutation acts by phi -> phi o g^(-1), which permutes the rows of the
+basis (row l of the image is row g^(-1)(l)); action matrices are signed
 permutation matrices in the chosen basis.
 
 All linear algebra is exact Gauss-Jordan elimination over residues mod p,
@@ -21,14 +22,15 @@ O(#gens . dim^2).  Otherwise it is the exact null space of the stacked
 commutation constraints, which also serves the tests as the reference.
 
 The F_2 heart (the sum-zero part of F_2^m, m odd) is proved irreducible
-under A_m and S_m for every odd m by `_heart_is_irreducible`.
+under A_m and S_m for every odd m by `_heart_is_irreducible`, which spins
+under the generators that signedperm.GroupDescriptor gives A_m.
 """
 
 from __future__ import annotations
 
 from . import _resolver
 from ._primes import is_prime
-from .signedperm import LabeledRoots, SignedPerm, roots_h
+from .signedperm import GroupDescriptor, LabeledRoots, SignedPerm, roots_h
 
 
 def _check_modulus(p: int) -> None:
@@ -40,10 +42,6 @@ def _check_modulus(p: int) -> None:
 def _rows(a, p: int) -> list[list[int]]:
     """A fresh copy of the 2-D integer sequence a as rows of residues mod p."""
     return [[int(v) % p if v else 0 for v in row] for row in a]  # cheap on sparse rows
-
-
-def _zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
 
 
 class FpMatrix:
@@ -162,12 +160,11 @@ class FpSpace:
 
 def _space(p: int, roots: LabeledRoots, columns: list[dict], name: str) -> FpSpace:
     """The space spanned by the columns, each a label -> coefficient dict."""
-    row = {lbl: i for i, lbl in enumerate(roots.labels())}
-    B = _zeros(len(row), len(columns))
+    rows = {lbl: [0] * len(columns) for lbl in roots.labels()}
     for j, col in enumerate(columns):
         for lbl, v in col.items():
-            B[row[lbl]][j] = v
-    return FpSpace(p, roots, B, name)
+            rows[lbl][j] = v
+    return FpSpace(p, roots, list(rows.values()), name)
 
 
 def odd_space(m: int, p: int) -> FpSpace:
@@ -179,23 +176,12 @@ def odd_space(m: int, p: int) -> FpSpace:
     return _space(p, roots_h(m), [{i: 1, -i: -1} for i in range(1, m + 1)], "V_f^-")
 
 
-def _push_forward(space: FpSpace, image_of_label) -> list[list[int]]:
-    """Matrix of phi -> phi o g^(-1) on the ambient delta coordinates."""
-    p = space.p
-    out = _zeros(len(space.labels), space.dim)
-    for row, lbl in enumerate(space.labels):
-        target = out[space.index[image_of_label(lbl)]]
-        for j, v in enumerate(space.basis[row]):
-            if v:
-                target[j] = (target[j] + v) % p
-    return out
-
-
 def action_matrix(g: SignedPerm, space: FpSpace) -> FpMatrix:
     """Matrix of g on the space in its basis; multiplicative in g."""
     if g.m != space.m:
         raise ValueError(f"element acts on m={g.m}, space has m={space.m}")
-    V = _push_forward(space, lambda lbl: space.roots.act(g, lbl))
+    g_inv = g.inverse()
+    V = [space.basis[space.index[space.roots.act(g_inv, lbl)]] for lbl in space.labels]
     return FpMatrix(space.p, _solve_in_span(space.basis, V, space.p))
 
 
@@ -328,9 +314,8 @@ def _heart_is_irreducible(m: int) -> bool:
     e_2 + e_(w+1) to v_w (checked below), so every nonzero submodule holds a
     weight-2 vector: one spin of e_1 + e_2 to dimension m - 1 then suffices.
     """
-    three = tuple([1, 2, 0] + list(range(3, m)))
-    full = tuple((i + 1) % m for i in range(m))  # m odd: the m-cycle is even
-    if _spin_dimension_f2(0b11, [three, full]) != m - 1:
+    am = [g.s for g in GroupDescriptor.alternating(m).generators()]
+    if _spin_dimension_f2(0b11, am) != m - 1:
         return False
     for w in range(4, m, 2):
         g = list(range(m))

@@ -138,7 +138,12 @@ _R_EVEN = "r is even"
 # Each rule: its conclusion template and its ordered (fact, required) premises,
 # required None for a value the step only reports.  A conclusion is formatted
 # with the premise values ({0}, {1}, ...) and the builder's keywords; a key's
-# text before ":" is the rule name the document records.
+# text before ":" is the rule name the document records.  Three required
+# premises restate what the chain established before their step, so on a real
+# run they cannot fail, and only a flipped table entry reaches their failure:
+# IrredDelta's and TwoGroup's _SM (the walk keeps a Jordan verdict only as
+# IsSm) and SmCert's "disc(u) is a square" (a square disc(u) exits first).  A
+# checker reads them as cross-references.
 _RULES = {
     "EvenContainment": ("Gal(u(x^2)/Q) is {neg}contained in W(D_{m})",
                         (("-u(0)", None), ("-u(0) is a rational square", True))),
@@ -431,8 +436,9 @@ def certify_wdm_over_Q(
     quadratic-subfield and square-root steps, and the 2-group argument).
     For m in {3, 5, 7} the chain falls through to cycle-type sampling
     against the exact W(D_m) census and the verdict is at best
-    Probabilistic.  Failed premises are named; the containment test can
-    refute the claim outright.  Steps are appended in rule order.
+    Probabilistic.  Every m needs a prime witnessing u irreducible within
+    the budget (IrredX2).  Failed premises are named; the containment test
+    can refute the claim outright.  Steps are appended in rule order.
     """
     _validate_odd(m, c)
     u = trinomial(m, c)
@@ -457,13 +463,20 @@ def certify_wdm_over_Q(
 
     # one walk for both of u's witnesses; IrredX2 serves every m from it
     witness, jordan = _witness_walk(u, disc_u, prime_budget)
-    composite = _composite_rule(
-        u, lambda: Inconclusive() if witness is None else Irreducible(witness)
-    )
+    if witness is None:
+        # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0;
+        # u has no integer root, as a^m - a is even and c odd: the primes ran out
+        detail = {"failed_premise": "u is irreducible over Q", "detail": repr(Inconclusive()),
+                  "prime_budget": prime_budget}
+        return cert(containment, INCONCLUSIVE, detail)
+    composite = _composite_rule(u, lambda: Irreducible(witness))
+    if not isinstance(composite, Certified):
+        return cert(containment, INCONCLUSIVE,
+                    {"failed_premise": "the composite irreducibility rule applies",
+                     "detail": composite.failed})
     irred_x2 = []
-    failed = isinstance(composite, Certified) and _step(
-        irred_x2, "IrredX2", *(value for _, value in composite.premises), h=format_poly(h)
-    )
+    failed = _step(irred_x2, "IrredX2", *(value for _, value in composite.premises),
+                   h=format_poly(h))
 
     if m < DET_MIN_M:  # m in {3, 5, 7}: sampling fallback
         steps = [*containment, *irred_x2]
@@ -490,12 +503,6 @@ def certify_wdm_over_Q(
         )
 
     # m >= DET_MIN_M: the deterministic chain
-    if witness is None:
-        # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0;
-        # u has no integer root, as a^m - a is even and c odd: the primes ran out
-        detail = {"failed_premise": "u is irreducible over Q", "detail": repr(Inconclusive()),
-                  "prime_budget": prime_budget}
-        return cert(containment, INCONCLUSIVE, detail)
     disc_square = is_square(disc_u)
     if disc_square:
         return cert(containment, INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"})
@@ -512,13 +519,6 @@ def certify_wdm_over_Q(
     # SmCert's or IrredX2's failure ends the chain before IrredDelta
     failed = _step(steps, "SmCert", witness, disc_u, disc_square, list(sm.witness_type),
                    q_cycle, sm.cycle_length, u=format_poly(u), m=m) or failed
-    if not (failed or irred_x2):
-        return cert(
-            [*steps, *containment],
-            INCONCLUSIVE,
-            {"failed_premise": "the composite irreducibility rule applies",
-             "detail": composite.failed},
-        )
     steps += [*irred_x2, *containment]
     side_condition = 2 * m < m * (m - 1) // 2
     failed = failed or (

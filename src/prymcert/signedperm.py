@@ -3,9 +3,10 @@
 An element (eps, s) sends 0 to 0 and b_i to eps(i) * b_{s(i)}; the signed
 labels are the integers +-1..+-m, so 2m points carry the action relevant to
 an even polynomial of degree 2m and 2m+1 points the action for its odd
-multiple by x.  The group of all such elements is 2^m.S_m; the kernel of the
-sign forgetting projection kappa (eps, s) -> s is the sign group E_m = 2^m,
-and the elements with sign product +1 form the index-2 subgroup W(D_m) of
+multiple by x.  The m base points of R_u take the label action up to sign.
+The group of all such elements is 2^m.S_m; the kernel of the sign
+forgetting projection kappa (eps, s) -> s is the sign group E_m = 2^m, and
+the elements with sign product +1 form the index-2 subgroup W(D_m) of
 order 2^(m-1) m!.
 
 Groups are handled as descriptors plus generator sets.  Orbits,
@@ -131,10 +132,6 @@ class SignedPerm:
         image = self.eps[i] * (self.s[i] + 1)
         return image if label > 0 else -image
 
-    def act_point(self, i: int) -> int:
-        """Projected action on the base points {1, ..., m}."""
-        return self.s[i - 1] + 1
-
     def sign_product(self) -> int:
         return math.prod(self.eps)
 
@@ -156,29 +153,18 @@ class SignedPerm:
         return {"s": [v + 1 for v in self.s], "eps": list(self.eps)}
 
 
-def _cycles_of(s: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(s)
-    cycles = []
-    for start in range(len(s)):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
+def induced_cycle_type(g: SignedPerm) -> CycleType:
+    """Cycle type on the 2m nonzero labels: each cycle of s, walked once, lifts by sign_lift."""
+    seen = [False] * g.m
+    lengths: list[int] = []
+    for start in range(g.m):
+        i, length, sign = start, 0, 1
         while not seen[i]:
             seen[i] = True
-            cyc.append(i)
-            i = s[i]
-        cycles.append(cyc)
-    return cycles
-
-
-def induced_cycle_type(g: SignedPerm) -> CycleType:
-    """Cycle type of the action on the 2m nonzero labels, by intpoly.sign_lift."""
-    return CycleType([
-        n
-        for cyc in _cycles_of(g.s)
-        for n in sign_lift(len(cyc), math.prod(g.eps[i] for i in cyc))
-    ])
+            i, length, sign = g.s[i], length + 1, sign * g.eps[i]
+        if length:
+            lengths += sign_lift(length, sign)
+    return CycleType(lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +191,9 @@ class LabeledRoots(Record):
         return tuple(range(1, self.m + 1))
 
     def act(self, g: SignedPerm, label: int) -> int:
-        if self.kind == "R_u":
-            return g.act_point(label)
-        return g.act_label(label)
+        """The label action of g; on R_u, its image up to sign (the projection kappa)."""
+        image = g.act_label(label)
+        return abs(image) if self.kind == "R_u" else image
 
 
 def roots_h(m: int) -> LabeledRoots:

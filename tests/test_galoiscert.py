@@ -905,3 +905,21 @@ def test_the_descent_cross_check_survives_python_O(monkeypatch):
                          timeout=60)
     assert res.returncode != 0, res.stdout.decode()
     assert b"closed form disagrees with subresultants" in res.stderr
+
+
+@pytest.mark.parametrize("call", [
+    functools.partial(certify_wdm_over_Q, 3, 1, prime_budget=1),
+    functools.partial(certify_wdm_over_Q, 5, 1, prime_budget=2),
+    functools.partial(certify_wdm_over_Q, 7, 1, prime_budget=1),
+    functools.partial(certify_prym, 3, 2, prime_budget=1),
+], ids=["m=3,b=1", "m=5,b=2", "m=7,b=1", "verify(3,2),b=1"])
+def test_no_irreducibility_witness_ends_every_m_inconclusive(call):
+    # below u's witness prime IrredX2 has no premise to stand on, so m < DET_MIN_M
+    # ends as m >= DET_MIN_M does, before any sampling
+    cert = call()
+    assert cert.verdict == "Inconclusive"
+    assert cert.verdict_detail["failed_premise"] == "u is irreducible over Q"
+    assert cert.verdict_detail["prime_budget"] == call.keywords["prime_budget"]
+    assert [step.rule for step in cert.steps] == ["EvenContainment"]
+    assert cert.claims == []
+    assert verify_replay(json.loads(cert.canonical()))

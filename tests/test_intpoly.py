@@ -999,3 +999,11 @@ def test_adding_an_int_to_a_polynomial_is_a_type_error():
         with pytest.raises(TypeError):
             expression()
     assert x * 3 == 3 * x == IntPoly((0, 3)) and x + x - x == x
+
+
+def test_composite_rule_refuses_a_u_not_certified_irreducible():
+    # the right shape, but x^3 - x - 6 = (x - 2)(x^2 + 2x + 3), and x^5 - x - 1
+    # has no irreducibility witness among the primes <= 2
+    refused = NotApplicable("u was not certified irreducible over Q")
+    assert irreducible_composite_rule(parse_poly("x^3 - x - 6")) == refused
+    assert irreducible_composite_rule(parse_poly("x^5 - x - 1"), prime_budget=2) == refused

@@ -421,3 +421,16 @@ def test_small_orbit_cases():
     assert transitivity_degree(GroupDescriptor.symmetric(1), roots_u(1)) == 1
     w5 = GroupDescriptor.wdm(5)
     assert stabilizer_orbit_count(w5, roots_h(5)) == stabilizer_orbit_count(w5, roots_h(5), 1)
+
+
+def test_base_points_take_the_label_action_up_to_sign():
+    # R_u is acted on through kappa: a sign flip fixes every base point
+    rng = random.Random(20261021)
+    for m in range(3, 10):
+        assert orbits(GroupDescriptor.wdm(m), roots_u(m)) == [tuple(range(1, m + 1))]
+        assert orbits(GroupDescriptor.sign_group(m), roots_u(m)) == [
+            (i,) for i in range(1, m + 1)
+        ]
+        for _ in range(20):
+            g = SignedPerm.random(m, rng)
+            assert all(roots_u(m).act(g, i) == g.s[i - 1] + 1 for i in range(1, m + 1))
