@@ -20,15 +20,16 @@ being None for a value the step only reports.  _step, the one builder,
 appends a step from the table and returns the first premise whose value is
 not its required value; the chain ends there, Inconclusive with that fact
 as failed_premise (Refuted at EvenContainment, an equivalence).  The
-document records the values, the table the requirements.  The explicit
+document records the values, the table the requirements.  IrredX2, u(x^2)
+irreducible by u's shape and a witness prime, is stated only in _RULES and
+judged only by _step; reference's oracle reads its facts there.  The explicit
 exits name a failed_premise text of their own, which no _RULES fact states
 and tests pin: a repeated factor ("u is squarefree"), the containment
 refutation ("-u(0) is a square in Q"), no irreducibility witness ("u is
 irreducible over Q"), a square disc(u) ("disc(u) is not a square"), no
-Jordan prime ("a qualifying prime-length cycle was observed"), a composite
-rule that does not apply ("the composite irreducibility rule applies") and
-a sampling refutation ("all sampled cycle types possible in W(D_m)"); a
-reader that maps failed premises to table facts maps these by hand.  A
+Jordan prime ("a qualifying prime-length cycle was observed") and a
+sampling refutation ("all sampled cycle types possible in W(D_m)"); a
+reader that maps failed premises to table facts maps these six by hand.  A
 refused descent also records the verdict of its base over Q.
 
 Conclusions about the Prym variety itself (endomorphism ring, simplicity,
@@ -64,13 +65,9 @@ from . import (  # the shared constants, re-exported
 )
 from ._record import Record
 from .intpoly import (
-    _COMPOSITE_FACTS,
-    Certified,
     CycleType,
     Inconclusive,
     IntPoly,
-    Irreducible,
-    _composite_rule,
     _validate_odd,
     compose_x2,
     disc_of_even_composite,
@@ -132,6 +129,7 @@ class RuleStep(Record, frozen=False):
 
 # facts that two premises, or a premise and an exit, share
 _SM = "Gal(u/Q) = S_m"
+_WITNESS = "u irreducible over Q (witness prime)"
 _DISTINCT = "multiplicities pairwise distinct"
 _R_EVEN = "r is even"
 
@@ -148,12 +146,14 @@ _RULES = {
     "EvenContainment": ("Gal(u(x^2)/Q) is {neg}contained in W(D_{m})",
                         (("-u(0)", None), ("-u(0) is a rational square", True))),
     "SmCert": ("Gal({u} / Q) = S_{m}", (
-        (_COMPOSITE_FACTS[-1], None), ("disc(u)", None), ("disc(u) is a square", False),
+        (_WITNESS, None), ("disc(u)", None), ("disc(u) is a square", False),
         ("cycle type observed mod q", None), ("witness prime q", None),
         ("prime cycle length L with m/2 < L < m-2 (Jordan)", None),
     )),
-    "IrredX2": ("{h} is irreducible over Q",
-                tuple(zip(_COMPOSITE_FACTS, (None, True, True, True, None, None)))),
+    "IrredX2": ("{h} is irreducible over Q", (
+        ("deg u odd and >= 3", None), ("u monic", True), ("coefficient of x^2 is 0", True),
+        ("coefficient of x is -1", True), ("constant term -c, c nonzero", None), (_WITNESS, None),
+    )),
     "ChebotarevVerdict": ("all {0} sampled Frobenius cycle types are possible in W(D_{m}) "
                           "(statistical evidence, not proof)", (
         ("samples", None), ("census classes", None), ("chi_square (advisory)", None),
@@ -469,14 +469,9 @@ def certify_wdm_over_Q(
         detail = {"failed_premise": "u is irreducible over Q", "detail": repr(Inconclusive()),
                   "prime_budget": prime_budget}
         return cert(containment, INCONCLUSIVE, detail)
-    composite = _composite_rule(u, lambda: Irreducible(witness))
-    if not isinstance(composite, Certified):
-        return cert(containment, INCONCLUSIVE,
-                    {"failed_premise": "the composite irreducibility rule applies",
-                     "detail": composite.failed})
     irred_x2 = []
-    failed = _step(irred_x2, "IrredX2", *(value for _, value in composite.premises),
-                   h=format_poly(h))
+    failed = _step(irred_x2, "IrredX2", m, u.is_monic, u.coeff(2) == 0, u.coeff(1) == -1, c,
+                   witness, h=format_poly(h))
 
     if m < DET_MIN_M:  # m in {3, 5, 7}: sampling fallback
         steps = [*containment, *irred_x2]

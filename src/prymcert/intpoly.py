@@ -155,6 +155,8 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(tuple(other * c for c in self.coeffs))
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly.zero()
@@ -826,47 +828,13 @@ class Inconclusive(Record):
 
 
 class Certified(Record):
-    """All premises of the even-composite irreducibility rule hold."""
+    """All premises of the even-composite irreducibility rule hold (the oracle's verdict)."""
 
     premises: tuple[tuple[str, object], ...]
 
 
 class NotApplicable(Record):
     failed: str
-
-
-# the premises of the even-composite rule, in order; galoiscert's IrredX2 states them
-_COMPOSITE_FACTS = ("deg u odd and >= 3", "u monic", "coefficient of x^2 is 0",
-                    "coefficient of x is -1", "constant term -c, c nonzero",
-                    "u irreducible over Q (witness prime)")
-
-
-def _composite_rule(u: IntPoly, irreducibility):
-    """Certify that u(x^2) is irreducible over Q from the shape of u.
-
-    Premises: deg u = m odd >= 3, u monic, coefficient of x^2 zero,
-    coefficient of x equal to -1, constant term -c with c a nonzero integer,
-    and u irreducible over Q.  irreducibility() returns u's verdict; it is
-    called only once the shape premises hold, so a caller that already holds
-    a witness pays nothing.  Returns Certified with the recorded premises, or
-    NotApplicable naming the first failed premise.
-    """
-    m = u.degree
-    if m < 3 or m % 2 == 0:
-        return NotApplicable(f"degree must be odd and >= 3, got {m}")
-    if not u.is_monic:
-        return NotApplicable(f"leading coefficient must be 1, got {u.lc}")
-    if u.coeff(2) != 0:
-        return NotApplicable(f"coefficient of x^2 must be 0, got {u.coeff(2)}")
-    if u.coeff(1) != -1:
-        return NotApplicable(f"coefficient of x must be -1, got {u.coeff(1)}")
-    if u.coeff(0) == 0:
-        return NotApplicable("constant term must be nonzero")
-    verdict = irreducibility()
-    if not isinstance(verdict, Irreducible):
-        return NotApplicable("u was not certified irreducible over Q")
-    values = (m, True, True, True, -u.coeff(0), verdict.witness)
-    return Certified(tuple(zip(_COMPOSITE_FACTS, values)))
 
 
 # the names no command runs, defined in prymcert.reference and resolved from here (PEP 562)

@@ -1,12 +1,13 @@
 """Reference code that no prymcert command runs: test oracles and library helpers.
 
 The checked entry points that the one prime walk replaced (factor degrees
-mod q, irreducibility over Q), brute-force and Schreier oracles, the
+mod q, irreducibility over Q, the even-composite rule, whose premise texts
+are IrredX2's in galoiscert's _RULES), brute-force and Schreier oracles, the
 function spaces other than the odd one, and the differential basis.  Each
 name keeps its old module (intpoly, signedperm, fpmodule or prymcalc),
 whose `_MOVED` names the package's one resolver reads from here on first
-access (PEP 562); this module imports only what stays there, so no command
-compiles it.
+access (PEP 562); this module imports only what stays in the pipeline
+modules, so no command compiles it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from . import PRIME_BUDGET, intpoly  # its kernel is called through it, where te
 from ._primes import is_prime
 from ._record import Record
 from .fpmodule import FpMatrix, FpSpace, _heart_is_irreducible, _space, action_matrix
-from .intpoly import (CycleType, Inconclusive, IntPoly, Irreducible, _composite_rule, _fq_gcd,
-                      _fq_monic, compose_x2, disc_of_even_composite, discriminant, poly_gcd,
-                      trinomial, trinomial_disc, unramified_factor_degrees)
+from .galoiscert import _RULES
+from .intpoly import (Certified, CycleType, Inconclusive, IntPoly, Irreducible, NotApplicable,
+                      _fq_gcd, _fq_monic, compose_x2, disc_of_even_composite, discriminant,
+                      poly_gcd, trinomial, trinomial_disc, unramified_factor_degrees)
 from .prymcalc import FamilyParams, dim_prym, genus_curve
 from .signedperm import LabeledRoots, SignedPerm, _as_generators, orbits, roots_h
 
@@ -159,12 +161,29 @@ def irreducible_over_Q(f: IntPoly, prime_budget: int = PRIME_BUDGET):
 def irreducible_composite_rule(u: IntPoly, prime_budget: int = PRIME_BUDGET):
     """Certify that u(x^2) is irreducible over Q from the shape of u.
 
-    Premises: deg u = m odd >= 3, u monic, u irreducible over Q, coefficient
-    of x^2 zero, coefficient of x equal to -1, and constant term -c with c a
-    nonzero integer.  Returns Certified with the recorded premises, or
-    NotApplicable naming the first failed premise.
+    Premises, in the order of the certificate's IrredX2 step, whose facts
+    they carry: deg u = m odd >= 3, u monic, coefficient of x^2 zero,
+    coefficient of x equal to -1, constant term -c with c a nonzero integer,
+    and u irreducible over Q (a witness prime).  u's irreducibility is tested
+    only once its shape holds.  Returns Certified with the recorded premises,
+    or NotApplicable naming the first failed premise.
     """
-    return _composite_rule(u, lambda: irreducible_over_Q(u, prime_budget))
+    m = u.degree
+    if m < 3 or m % 2 == 0:
+        return NotApplicable(f"degree must be odd and >= 3, got {m}")
+    if not u.is_monic:
+        return NotApplicable(f"leading coefficient must be 1, got {u.lc}")
+    if u.coeff(2) != 0:
+        return NotApplicable(f"coefficient of x^2 must be 0, got {u.coeff(2)}")
+    if u.coeff(1) != -1:
+        return NotApplicable(f"coefficient of x must be -1, got {u.coeff(1)}")
+    if u.coeff(0) == 0:
+        return NotApplicable("constant term must be nonzero")
+    verdict = irreducible_over_Q(u, prime_budget)
+    if not isinstance(verdict, Irreducible):
+        return NotApplicable("u was not certified irreducible over Q")
+    values = (m, True, True, True, -u.coeff(0), verdict.witness)
+    return Certified(tuple(zip((fact for fact, _ in _RULES["IrredX2"][1]), values, strict=True)))
 
 
 # -- from signedperm: projections, oracles, stabilizers -----------------------

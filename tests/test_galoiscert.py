@@ -692,9 +692,6 @@ _OTHER_EXITS = [
      "Inconclusive", "disc(u) odd, so the quadratic field is unramified at 2", "IrredDelta"),
     ("disc-square", "is_square", lambda n: True, (certify_prym, 3, 4),
      "Inconclusive", "disc(u) is not a square", "EvenContainment"),
-    ("composite", "_composite_rule", lambda u, irreducibility: intpoly.NotApplicable("forced"),
-     (certify_prym, 3, 4), "Inconclusive", "the composite irreducibility rule applies",
-     "EvenContainment"),
     ("sampling", "census", _census_without_observed_types, (certify_wdm_over_Q, 5, 1),
      "Refuted", "all sampled cycle types possible in W(D_m)", "ChebotarevVerdict"),
 ]
@@ -923,3 +920,20 @@ def test_no_irreducibility_witness_ends_every_m_inconclusive(call):
     assert [step.rule for step in cert.steps] == ["EvenContainment"]
     assert cert.claims == []
     assert verify_replay(json.loads(cert.canonical()))
+
+
+@pytest.mark.parametrize("m, c", [(3, 1), (5, 1), (7, 1), (9, 1), (11, 1), (13, 1), (29, 1),
+                                  (55, 1), (9, 9), (11, 25)])
+def test_the_irred_x2_step_records_the_oracle_premises(m, c):
+    # the chain states and judges IrredX2 itself; the oracle checks u's shape and
+    # walks for its own witness, and both must agree on when and what (at m = 55
+    # no witness prime is <= the budget, so both refuse)
+    from prymcert.reference import irreducible_composite_rule
+
+    verdict = irreducible_composite_rule(trinomial(m, c))
+    steps = [step for step in certify_wdm_over_Q(m, c, samples=10).steps
+             if step.rule == "IrredX2"]
+    assert bool(steps) is isinstance(verdict, intpoly.Certified), (m, c)
+    if steps:
+        assert [(prem["fact"], prem["value"]) for prem in steps[0].premises] == \
+            list(verdict.premises)

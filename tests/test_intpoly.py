@@ -1007,3 +1007,11 @@ def test_composite_rule_refuses_a_u_not_certified_irreducible():
     refused = NotApplicable("u was not certified irreducible over Q")
     assert irreducible_composite_rule(parse_poly("x^3 - x - 6")) == refused
     assert irreducible_composite_rule(parse_poly("x^5 - x - 1"), prime_budget=2) == refused
+
+
+def test_multiplying_by_a_non_integer_scalar_is_a_type_error():
+    x = IntPoly.x()
+    for expression in (lambda: x * 1.5, lambda: 1.5 * x, lambda: x * None, lambda: None * x):
+        with pytest.raises(TypeError):
+            expression()
+    assert x * 3 == 3 * x == IntPoly((0, 3)) and x * x == parse_poly("x^2")

@@ -23,9 +23,10 @@ With --corpus, the tool instead runs `certcli.main` in this process on every
 command of `tools/cli_corpus.CORPUS`, under `sys.setprofile`, and prints,
 per pipeline module (every module of SRC/prymcert but `reference`, which no
 command imports), the module-level functions and the methods that no
-command entered.  Nothing is written into the tree here either.  The exit
-code is 2 if a command imported `reference` or a module was edited mid-run,
-else 0.
+command entered.  Its last line is the total line count of the pipeline
+modules the commands imported: the lines a `verify` or `galois` child
+compiles.  Nothing is written into the tree here either.  The exit code is
+2 if a command imported `reference` or a module was edited mid-run, else 0.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def _edited(package: str, before: dict) -> bool:
 def corpus(package: str) -> int:
     """Print the functions and methods of the pipeline modules that no corpus command enters."""
     # read before the import below loads the modules
-    modules = _snapshot(package, lambda source, path: list(_definitions(source, path)))
+    modules = _snapshot(package, lambda source, path: (list(_definitions(source, path)),
+                                                        len(source.splitlines())))
     from cli_corpus import CORPUS
 
     from prymcert import certcli
@@ -123,8 +125,8 @@ def corpus(package: str) -> int:
         print("a corpus command imported prymcert.reference", file=sys.stderr)
         return 2
 
-    total = 0
-    for path, (_, definitions) in modules.items():
+    total = compiled = 0
+    for path, (_, (definitions, lines)) in modules.items():
         name = os.path.basename(path)
         if name == "reference.py":
             continue
@@ -133,7 +135,10 @@ def corpus(package: str) -> int:
         print(f"{name}: {len(missed)} functions not entered")
         for qualname in missed:
             print(f"  {qualname}")
+        module = "prymcert" if name == "__init__.py" else f"prymcert.{name[:-3]}"
+        compiled += lines if module in sys.modules else 0
     print(f"total: {total} functions not entered")
+    print(f"compiled: {compiled} lines of pipeline modules")
     return 0
 
 
