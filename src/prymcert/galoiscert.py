@@ -22,15 +22,10 @@ not its required value; the chain ends there, Inconclusive with that fact
 as failed_premise (Refuted at EvenContainment, an equivalence).  The
 document records the values, the table the requirements.  IrredX2, u(x^2)
 irreducible by u's shape and a witness prime, is stated only in _RULES and
-judged only by _step; reference's oracle reads its facts there.  The explicit
-exits name a failed_premise text of their own, which no _RULES fact states
-and tests pin: a repeated factor ("u is squarefree"), the containment
-refutation ("-u(0) is a square in Q"), no irreducibility witness ("u is
-irreducible over Q"), a square disc(u) ("disc(u) is not a square"), no
-Jordan prime ("a qualifying prime-length cycle was observed") and a
-sampling refutation ("all sampled cycle types possible in W(D_m)"); a
-reader that maps failed premises to table facts maps these six by hand.  A
-refused descent also records the verdict of its base over Q.
+judged only by _step; reference's oracle reads its facts there.  Every exit
+is a _RULES row too, which _exit judges as _step judges a premise, so each
+failed premise, reason and conclusion a document carries is a table text.
+A refused descent also records the verdict of its base over Q.
 
 Conclusions about the Prym variety itself (endomorphism ring, simplicity,
 not being a jacobian) are emitted as claims with checked=false: the engine
@@ -48,6 +43,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
+import sys
 from itertools import islice
 
 from . import (  # the shared constants, re-exported
@@ -66,7 +62,6 @@ from . import (  # the shared constants, re-exported
 from ._record import Record
 from .intpoly import (
     CycleType,
-    Inconclusive,
     IntPoly,
     _validate_odd,
     compose_x2,
@@ -133,15 +128,20 @@ _WITNESS = "u irreducible over Q (witness prime)"
 _DISTINCT = "multiplicities pairwise distinct"
 _R_EVEN = "r is even"
 
-# Each rule: its conclusion template and its ordered (fact, required) premises,
-# required None for a value the step only reports.  A conclusion is formatted
-# with the premise values ({0}, {1}, ...) and the builder's keywords; a key's
-# text before ":" is the rule name the document records.  Three required
-# premises restate what the chain established before their step, so on a real
-# run they cannot fail, and only a flipped table entry reaches their failure:
-# IrredDelta's and TwoGroup's _SM (the walk keeps a Jordan verdict only as
-# IsSm) and SmCert's "disc(u) is a square" (a square disc(u) exits first).  A
-# checker reads them as cross-references.
+# Each row is a (text, premises) pair.  A rule's text is its conclusion
+# template, formatted with the premise values ({0}, {1}, ...) and the builder's
+# keywords; its premises are ordered (fact, required), required None for a value
+# the step only reports.  A key's text before ":" is the rule name the document
+# records; a "<rule>:refused" row, with no premises, concludes that rule's failed
+# step.  Three required premises restate what the chain established before
+# their step, so only a flipped table entry reaches their failure: IrredDelta's
+# and TwoGroup's _SM (the walk keeps a Jordan verdict only as IsSm) and SmCert's
+# "disc(u) is a square" (a square disc(u) exits first); a checker reads them as
+# cross-references.  An "exit:" row's text is what its verdict detail carries
+# besides the failed premise (witness: under "detail"; probabilistic, with no
+# premise: a Probabilistic verdict's reason), its one premise the failed one.
+# An exit that a step's own premise decides (EvenContainment's refutation,
+# ChebotarevVerdict's) carries required None: it is taken wherever reached.
 _RULES = {
     "EvenContainment": ("Gal(u(x^2)/Q) is {neg}contained in W(D_{m})",
                         (("-u(0)", None), ("-u(0) is a rational square", True))),
@@ -185,6 +185,8 @@ _RULES = {
         ("disc(u(x^2))", None), ("disc route", None),
         ("p does not divide disc(u(x^2))", True),
     )),
+    "CyclotomicDescent:refused": ("descent to Q(zeta_{p}) refused; the claim over Q "
+                                  "is unaffected", ()),
     "EndomorphismRing": ("End(Prym) = Z[zeta_{p}]; Prym is absolutely simple", (
         (_R_EVEN, True),
         ("S_m is doubly transitive on the roots of u", True),
@@ -204,18 +206,40 @@ _RULES = {
         ("r - 1 < (2 dim Prym)/(p(p-1)) - (p-2)/p (exact rationals)", True),
         (_DISTINCT, True), ("smallest multiplicity", None),
     )),
+    "exit:squarefree": ("", (("u is squarefree", True),)),
+    "exit:containment": ("the containment criterion is an equivalence, so the group is not even "
+                         "contained in W(D_m)", (("-u(0) is a square in Q", None),)),
+    "exit:witness": ("Inconclusive()", (("u is irreducible over Q", True),)),
+    "exit:sampling": ("", (("all sampled cycle types possible in W(D_m)", None),)),
+    "exit:probabilistic": (f"m = {{m}} < {DET_MIN_M}: the deterministic chain does not apply", ()),
+    "exit:disc-square": ("", (("disc(u) is not a square", True),)),
+    "exit:jordan": ("", (("a qualifying prime-length cycle was observed", True),)),
+    "exit:odd-r": ("odd r makes m even and every eigenvalue multiplicity even",
+                   ((_R_EVEN, True),)),
 }
 
 
 def _step(steps: list[RuleStep], key: str, *values, **fmt) -> str | None:
     """Append the step of _RULES[key] with these premise values, in the table's
-    order; return the fact of its first premise off its required value."""
+    order; return the fact of its first premise off its required value.  A step
+    that fails concludes with its key's ":refused" row, where the table has one."""
     conclusion, premises = _RULES[key]
     facts = [fact.format(**fmt) for fact, _ in premises]
     prems = [{"fact": f, "value": v} for f, v in zip(facts, values, strict=True)]
+    failed = next((fact for fact, (_, req), value in zip(facts, premises, values)
+                   if req is not None and value != req), None)
+    conclusion = _RULES.get(f"{key}:refused", (conclusion,))[0] if failed else conclusion
     steps.append(RuleStep(key.partition(":")[0], conclusion.format(*values, **fmt), prems))
-    return next((fact for fact, (_, req), value in zip(facts, premises, values)
-                 if req is not None and value != req), None)
+    return failed
+
+
+def _exit(key: str, value=None, text: str = "reason", **detail) -> dict | None:
+    """Judge the exit _RULES[key] as _step judges a premise: None when value is
+    its required value, else the verdict detail naming its fact as the failed
+    premise, with the row's text (if any) under `text`, then `detail`."""
+    reason, ((fact, required),) = _RULES[key]
+    if required is None or value != required:
+        return {"failed_premise": fact, **({text: reason} if reason else {}), **detail}
 
 
 class Certificate(Record, frozen=False):
@@ -324,6 +348,8 @@ def chebotarev_verdict(
     """
     if samples < 10:
         raise ValueError("at least 10 unramified primes are required")
+    if max(samples, pool or 0) > sys.maxsize:
+        raise ValueError(f"samples and pool must be at most {sys.maxsize}")
     if h.degree != 2 * target.m:
         raise ValueError(
             f"degree {h.degree} polynomial cannot match a group on {2 * target.m} points"
@@ -448,26 +474,21 @@ def certify_wdm_over_Q(
                              _config("galois-certify", m, c, samples, seed, prime_budget), claim)
 
     disc_u = discriminant(u)
-    if disc_u == 0:
-        return cert([], INCONCLUSIVE, {"failed_premise": "u is squarefree"})
+    if detail := _exit("exit:squarefree", disc_u != 0):
+        return cert([], INCONCLUSIVE, detail)
 
     # -u(0) = c: every non-square c is refuted here, so c is a square below
     contained = even_containment(u, disc=disc_u) is Containment.CONTAINED
     containment = []
     if _step(containment, "EvenContainment", -u.coeff(0), contained,
              m=m, neg="" if contained else "not "):
-        detail = {"failed_premise": "-u(0) is a square in Q",
-                  "reason": "the containment criterion is an equivalence, so the "
-                  "group is not even contained in W(D_m)"}
-        return cert(containment, REFUTED, detail)
+        return cert(containment, REFUTED, _exit("exit:containment"))
 
     # one walk for both of u's witnesses; IrredX2 serves every m from it
     witness, jordan = _witness_walk(u, disc_u, prime_budget)
-    if witness is None:
-        # the walk saw what irreducible_over_Q(u) would walk, and disc(u) != 0;
-        # u has no integer root, as a^m - a is even and c odd: the primes ran out
-        detail = {"failed_premise": "u is irreducible over Q", "detail": repr(Inconclusive()),
-                  "prime_budget": prime_budget}
+    # with no witness, the walk saw what irreducible_over_Q(u) would walk, disc(u) != 0
+    # and u has no integer root (a^m - a is even, c odd): the primes ran out
+    if detail := _exit("exit:witness", witness is not None, "detail", prime_budget=prime_budget):
         return cert(containment, INCONCLUSIVE, detail)
     irred_x2 = []
     failed = _step(irred_x2, "IrredX2", m, u.is_monic, u.coeff(2) == 0, u.coeff(1) == -1, c,
@@ -481,33 +502,18 @@ def certify_wdm_over_Q(
         if not report.consistent:
             _step(steps, "ChebotarevVerdict:refuting", report.refuting_prime,
                   report.refuting_type, m=m)
-            return cert(
-                steps,
-                REFUTED,
-                {"failed_premise": "all sampled cycle types possible in W(D_m)",
-                 "sampling": report.to_json()},
-            )
+            return cert(steps, REFUTED, _exit("exit:sampling", sampling=report.to_json()))
         _step(steps, "ChebotarevVerdict", report.samples, len(report.classes),
               report.chi_square, m=m)
-        return cert(
-            steps,
-            PROBABILISTIC,
-            {"sampling": report.to_json(),
-             "reason": f"m = {m} < {DET_MIN_M}: the deterministic chain does not apply"},
-            [_claim("ChebotarevVerdict", claim)],
-        )
+        reason = _RULES["exit:probabilistic"][0].format(m=m)
+        return cert(steps, PROBABILISTIC, {"sampling": report.to_json(), "reason": reason},
+                    [_claim("ChebotarevVerdict", claim)])
 
     # m >= DET_MIN_M: the deterministic chain
     disc_square = is_square(disc_u)
-    if disc_square:
-        return cert(containment, INCONCLUSIVE, {"failed_premise": "disc(u) is not a square"})
-    if jordan is None:
-        return cert(
-            containment,
-            INCONCLUSIVE,
-            {"failed_premise": "a qualifying prime-length cycle was observed",
-             "prime_budget": prime_budget},
-        )
+    if detail := (_exit("exit:disc-square", not disc_square)
+                  or _exit("exit:jordan", jordan is not None, prime_budget=prime_budget)):
+        return cert(containment, INCONCLUSIVE, detail)
     q_cycle, sm = jordan
     is_sm = isinstance(sm, IsSm)
     steps = []
@@ -559,12 +565,11 @@ def cyclotomic_descent(cert_q: Certificate, p: int, r: int) -> Certificate:
     failed = _step(steps, "CyclotomicDescent", cond.residue, cond.passed, cond.shortcut_r_mod,
                    cond.shortcut_small, disc_h,
                    "subresultant PRS, cross-checked against the closed form",
-                   disc_h % p != 0, claim=claim)
+                   disc_h % p != 0, claim=claim, p=p)
     cert = functools.partial(Certificate, family.to_json(),
                              {**cert_q.config, "command": "galois-descent", "p": p, "r": r},
                              claim, steps)
     if failed:
-        steps[-1].conclusion = f"descent to Q(zeta_{p}) refused; the claim over Q is unaffected"
         return cert(INCONCLUSIVE, {"failed_premise": failed, "base_verdict": cert_q.verdict})
     return cert(cert_q.verdict, dict(cert_q.verdict_detail),
                 [_claim("CyclotomicDescent", claim, cert_q.verdict == DETERMINISTIC)])
@@ -596,13 +601,8 @@ def certify_prym(
     cert = functools.partial(Certificate, family.to_json(),
                              _config("verify", p, r, samples, seed, prime_budget), claim)
 
-    if r % 2 != 0:
-        return cert(
-            [],
-            INCONCLUSIVE,
-            {"failed_premise": _R_EVEN,
-             "reason": "odd r makes m even and every eigenvalue multiplicity even"},
-        )
+    if detail := _exit("exit:odd-r", r % 2 == 0):
+        return cert([], INCONCLUSIVE, detail)
 
     base = certify_wdm_over_Q(m, 1, samples, seed, prime_budget)
     ext = base if base.verdict in (REFUTED, INCONCLUSIVE) else cyclotomic_descent(base, p, r)

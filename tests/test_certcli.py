@@ -489,3 +489,12 @@ def test_certify_mode_reads_m_and_c_off_a_matching_poly(capsys):
     by_poly = capsys.readouterr().out
     assert run(["galois", "--m", "9", "--c", "-1"]) == code == 1  # -u(0) = -1 is no square
     assert capsys.readouterr().out == by_poly
+
+
+@pytest.mark.parametrize("args", [["verify", "--p", "3", "--r", "2"], ["galois", "--m", "3"],
+                                  ["galois", "--m", "3", "--mode", "sample"]])
+def test_samples_past_sys_maxsize_are_refused_by_name(args, capsys):
+    assert run([*args, "--samples", str(sys.maxsize + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"prymcert: error: samples and pool must be at most {sys.maxsize}\n"

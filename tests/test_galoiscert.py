@@ -4,6 +4,8 @@ import functools
 import json
 import os
 import random
+import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -443,8 +445,10 @@ def _separate_scans(u, budget):
 def test_witness_walk_matches_separate_scans(monkeypatch):
     # the walk's bookkeeping is under test, not the kernel (checked against
     # sympy elsewhere): every scan here shares one memo of the factor degrees
-    memo = functools.lru_cache(maxsize=None)(intpoly.reduce_and_factor_degrees)
-    monkeypatch.setattr(intpoly, "reduce_and_factor_degrees", memo)
+    from prymcert import reference  # where intpoly resolves the name (PEP 562)
+
+    memo = functools.lru_cache(maxsize=None)(reference.reduce_and_factor_degrees)
+    monkeypatch.setattr(reference, "reduce_and_factor_degrees", memo)
     original = intpoly._factor_degrees
     kernel = functools.lru_cache(maxsize=None)(lambda f, q, s: original(list(f), q, s))
     monkeypatch.setattr(intpoly, "_factor_degrees", lambda f, q, s: kernel(tuple(f), q, s))
@@ -937,3 +941,70 @@ def test_the_irred_x2_step_records_the_oracle_premises(m, c):
     if steps:
         assert [(prem["fact"], prem["value"]) for prem in steps[0].premises] == \
             list(verdict.premises)
+
+
+# ---------------------------------------------------------------------------
+# every text a document carries is a _RULES row
+# ---------------------------------------------------------------------------
+
+_TEXT_DOCUMENTS = {
+    **_TABLE_CERTIFICATES,
+    "verify(3,3)": functools.partial(certify_prym, 3, 3),
+    "galois(9,3)": functools.partial(certify_wdm_over_Q, 9, 3),
+    "galois(13,1,budget 17)": functools.partial(certify_wdm_over_Q, 13, 1, prime_budget=17),
+}
+
+
+def _wildcards(template):
+    """A pattern for the template's texts, each placeholder a wildcard."""
+    return "".join(re.escape(literal) + (".*" if field is not None else "")
+                   for literal, field, _, _ in string.Formatter().parse(template))
+
+
+def _rows_carried(cert):
+    """The _RULES keys whose rows the document carries, once every failed
+    premise, premise fact, reason and conclusion in it is found in a row."""
+    rules, detail = galoiscert._RULES, cert.verdict_detail
+    texts = {fact.format(**cert.params) for _, premises in rules.values() for fact, _ in premises}
+    texts |= {text.format(**cert.params) for key, (text, _) in rules.items()
+              if key.startswith("exit:")}
+    carried = [detail[key] for key in ("failed_premise", "reason", "detail") if key in detail]
+    carried += [prem["fact"] for step in cert.steps for prem in step.premises]
+    assert set(carried) <= texts, set(carried) - texts
+    for step in cert.steps:
+        assert any(re.fullmatch(_wildcards(text), step.conclusion)
+                   for key, (text, _) in rules.items() if key.partition(":")[0] == step.rule), \
+            (step.rule, step.conclusion)
+    produced = set()
+    for key, (text, premises) in rules.items():
+        facts = [fact.format(**cert.params) for fact, _ in premises]
+        if key.startswith("exit:"):
+            hit = (facts in ([], [detail.get("failed_premise")])
+                   and (not text or text.format(**cert.params) in detail.values()))
+        else:
+            hit = any(step.rule == key.partition(":")[0]
+                      and re.fullmatch(_wildcards(text), step.conclusion)
+                      and facts in ([], [prem["fact"] for prem in step.premises])
+                      for step in cert.steps)
+        if hit:
+            produced.add(key)
+    return produced
+
+
+def test_every_text_a_document_carries_is_a_table_row(monkeypatch):
+    # the documents reach every row: each exit, the refused descent, each step
+    produced = set()
+    for call in _TEXT_DOCUMENTS.values():
+        produced |= _rows_carried(call())
+    for _, leaf, forced, (certify, *args), *_ in _OTHER_EXITS:
+        with monkeypatch.context() as patch:
+            patch.setattr(galoiscert, leaf, forced)
+            produced |= _rows_carried(certify(*args))
+    assert produced == set(galoiscert._RULES), set(galoiscert._RULES) - produced
+
+
+def test_chebotarev_refuses_samples_or_pool_past_sys_maxsize():
+    h = parse_poly("x^6 - x^2 - 1")
+    for samples, pool in ((sys.maxsize + 1, None), (100, sys.maxsize + 1)):
+        with pytest.raises(ValueError, match="samples and pool must be at most"):
+            chebotarev_verdict(h, GroupDescriptor.wdm(3), samples, pool=pool)
